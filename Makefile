@@ -1,7 +1,7 @@
 # Tier-1 gate: everything `make check` runs must stay green.
-.PHONY: check build vet test test-race-short bench-smoke chaos fuzz resilience staticcheck obs gc plan shard recovery
+.PHONY: check build vet test test-race-short bench-vet bench-smoke chaos fuzz resilience staticcheck obs gc plan shard recovery
 
-check: build vet test test-race-short
+check: build vet test test-race-short bench-vet
 
 build:
 	go build ./...
@@ -17,6 +17,12 @@ test:
 # tests all still run.
 test-race-short:
 	go test -race -short ./internal/...
+
+# The benchmark (bench/) is its own module, so the root build, vet and test
+# never compile it; vetting it here keeps a facade API change from breaking
+# the benchmark unnoticed.
+bench-vet:
+	cd bench && go vet ./...
 
 # One fast pass over the benchmark harness to catch bit-rot without a full
 # benchmark run.
@@ -43,11 +49,12 @@ chaos:
 	go run ./cmd/db4ml-bench -exp chaos -seeds 8
 
 # Chaos-backed supervision gate: every panic-containment, watchdog,
-# deadline, retry, and admission test under the race detector, then one
-# quick pass of the resilience experiment (burst of flaky/spinning jobs
-# against a live fault injector, oracle-checked).
+# deadline, retry, cancellation, and admission test — single-kernel and
+# sharded — under the race detector, then one quick pass of the resilience
+# experiment (burst of flaky/spinning jobs against a live fault injector,
+# oracle-checked).
 resilience:
-	go test -race -timeout 5m -run 'Panic|Watchdog|Stall|Deadline|Retry|Overload|Admission|Degradation|ChaosRetry|GoroutineLeak' . ./internal/exec ./internal/resilience
+	go test -race -timeout 5m -run 'Panic|Watchdog|Stall|Deadline|Retry|Cancel|Overload|Admission|Degradation|ChaosRetry|GoroutineLeak' . ./internal/exec ./internal/resilience
 	go run ./cmd/db4ml-bench -exp resilience -quick
 
 # Version-GC gate: the chain-walk-during-Prune regression and every

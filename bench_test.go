@@ -235,7 +235,7 @@ func BenchmarkAblationTxStateCache(b *testing.B) {
 	}
 	run := func(b *testing.B, cached bool) {
 		for i := 0; i < b.N; i++ {
-			db := db4ml.Open()
+			db := db4ml.Open(db4ml.WithWorkers(4))
 			tbl, err := db.CreateTable("Node",
 				db4ml.Column{Name: "NodeID", Type: db4ml.Int64},
 				db4ml.Column{Name: "PR", Type: db4ml.Float64})
@@ -262,7 +262,6 @@ func BenchmarkAblationTxStateCache(b *testing.B) {
 			}
 			if _, err := db.RunML(db4ml.MLRun{
 				Isolation: db4ml.MLOptions{Level: db4ml.Asynchronous},
-				Workers:   4,
 				Attach:    []db4ml.Attachment{{Table: tbl}},
 				Subs:      mkSubs(tbl, nt, cached),
 			}); err != nil {

@@ -186,6 +186,8 @@ var (
 // and serve every ML run submitted to this DB, interleaving concurrent
 // uber-transactions; Close drains and stops them.
 type DB struct {
+	supervisor
+
 	mgr  *txn.Manager
 	pool *exec.Pool
 
@@ -204,43 +206,12 @@ type DB struct {
 	// replay, so replay never re-logs the records it is applying.
 	dur *durability
 
-	// Supervision defaults applied to every run unless MLRun overrides
-	// them, plus the admission gate bounding concurrent ML jobs.
-	deadline  time.Duration
-	stall     time.Duration
-	retry     RetryPolicy
-	gate      *resilience.Gate
-	admitWait bool
-	degrade   func(pressure float64, batch int) int
-
 	// Introspection state, non-nil only under WithDebugServer: a shared
 	// span tracer, the aggregator folding every run's telemetry into the
-	// /metrics totals, and the job table backing /debug/jobs.
+	// /metrics totals, and the server itself.
 	tracer *trace.Tracer
 	agg    *introspect.Aggregator
 	debug  *introspect.Server
-
-	jobsMu   sync.Mutex
-	liveJobs map[*JobHandle]jobMeta
-	recent   []introspect.JobInfo
-	queries  []introspect.QueryInfo
-
-	// queryID tags each SubmitQuery/PrepareQuery with a trace span id.
-	queryID atomic.Uint64
-
-	mu     sync.Mutex
-	closed bool
-	// handles tracks every SubmitML handle goroutine so Close can wait for
-	// the uber-transactions' commits/aborts, not just the pool drain: the
-	// pool finishes a job before the handle goroutine publishes its result,
-	// and "Close returned" must mean "no ML commit is still in flight".
-	handles sync.WaitGroup
-}
-
-// jobMeta is the per-handle context the job table needs beyond what the
-// engine's Job exposes.
-type jobMeta struct {
-	deadline time.Duration
 }
 
 // Option configures Open.
@@ -383,26 +354,20 @@ func Open(opts ...Option) *DB {
 		panic("db4ml: " + err.Error())
 	}
 	db := &DB{
-		mgr:       txn.NewManager(),
-		tables:    make(map[string]*Table),
-		pool:      pool,
-		deadline:  oc.deadline,
-		stall:     oc.stall,
-		retry:     oc.retry,
-		gate:      resilience.NewGate(oc.maxInflight),
-		admitWait: oc.admitWait,
-		degrade:   oc.degrade,
+		supervisor: newSupervisor(&oc),
+		mgr:        txn.NewManager(),
+		tables:     make(map[string]*Table),
+		pool:       pool,
 	}
 	db.reclaimer = gc.New(db.mgr, db.tableList)
 	if oc.debugAddr != "" {
 		db.tracer = trace.New(cfg.Resolved().Workers, 0)
 		db.agg = introspect.NewAggregator()
-		db.liveJobs = make(map[*JobHandle]jobMeta)
 		srv, err := introspect.Start(introspect.Config{
 			Addr:    oc.debugAddr,
 			Metrics: db.agg.Snapshot,
-			Jobs:    db.jobInfos,
-			Queries: db.queryInfos,
+			Jobs:    db.runs.jobs,
+			Queries: db.runs.queryInfos,
 			Tracer:  db.tracer,
 		})
 		if err != nil {
@@ -468,57 +433,14 @@ func (db *DB) DebugAddr() string {
 	return db.debug.Addr()
 }
 
-// jobInfos assembles the /debug/jobs table: every in-flight handle plus the
-// most recently settled runs.
-func (db *DB) jobInfos() []introspect.JobInfo {
-	db.jobsMu.Lock()
-	defer db.jobsMu.Unlock()
-	out := append([]introspect.JobInfo(nil), db.recent...)
-	for h, m := range db.liveJobs {
-		j := h.job.Load()
-		out = append(out, introspect.NewJobInfo(j.ID(), j.Label(), "running",
-			h.Attempts(), j.Live(), j.Total(), j.Started(), m.deadline))
-	}
-	return out
-}
-
-// maxRecentJobs bounds how many settled runs /debug/jobs keeps listing.
-const maxRecentJobs = 64
-
-// settleJob moves a resolved handle from the live job table to the recent
-// list. No-op without a debug server.
-func (db *DB) settleJob(h *JobHandle, deadline time.Duration) {
-	if db.debug == nil {
-		return
-	}
-	j := h.job.Load()
-	state := "done"
-	if h.err != nil {
-		state = "failed: " + h.err.Error()
-	}
-	info := introspect.NewJobInfo(j.ID(), j.Label(), state,
-		h.Attempts(), j.Live(), j.Total(), j.Started(), deadline)
-	info.CommitTS = uint64(h.ts)
-	db.jobsMu.Lock()
-	delete(db.liveJobs, h)
-	db.recent = append(db.recent, info)
-	if len(db.recent) > maxRecentJobs {
-		db.recent = db.recent[len(db.recent)-maxRecentJobs:]
-	}
-	db.jobsMu.Unlock()
-}
-
 // Close drains the in-flight ML jobs — including each uber-transaction's
 // final commit or abort — and stops the worker pool. Further SubmitML/RunML
 // calls fail with ErrClosed; OLTP transactions and reads keep working.
 // Close is idempotent, and every concurrent Close waits for the full drain
 // rather than returning early while another Close is still draining.
 func (db *DB) Close() error {
-	db.mu.Lock()
-	db.closed = true
-	pool := db.pool
-	db.mu.Unlock()
-	pool.Close()
+	db.stopAdmitting()
+	db.pool.Close()
 	db.handles.Wait()
 	if db.dur != nil {
 		// After the drain no commit is mid-append; Close flushes and fsyncs
@@ -616,14 +538,6 @@ type MLRun struct {
 	Isolation MLOptions
 	// Label names the run in telemetry snapshots (default "job-<id>").
 	Label string
-	// Workers, when nonzero, runs the job on a throwaway private pool of
-	// that many workers instead of the database's shared pool. Zero — the
-	// recommended setting — uses the shared pool, where concurrent ML runs
-	// interleave on one set of cores.
-	Workers int
-	// Regions, like Workers, forces a throwaway private pool with that
-	// simulated NUMA region count.
-	Regions int
 	// BatchSize is the scheduling batch size (default 256).
 	BatchSize int
 	// MaxIterations force-retires sub-transactions after that many
@@ -689,29 +603,17 @@ type MLRun struct {
 // on resubmission and Wait resolves only when the final attempt committed
 // or failed terminally.
 type JobHandle struct {
-	job        atomic.Pointer[exec.Job]
-	attempts   atomic.Int32
-	started    time.Time
-	done       chan struct{}
-	cancelOnce sync.Once
-	cancelCh   chan struct{}
-	stats      ExecStats
-	ts         Timestamp
-	err        error
+	handleCore
+	job     atomic.Pointer[exec.Job]
+	started time.Time
+	stats   ExecStats
 }
 
 // CommitTS returns the uber-transaction's commit timestamp: zero until the
 // job resolved, and zero forever if it aborted or was never acknowledged
 // (a crashed run may have published in the dying process's memory, but an
 // unacknowledged commit has no timestamp the caller may rely on).
-func (h *JobHandle) CommitTS() Timestamp {
-	select {
-	case <-h.done:
-		return h.ts
-	default:
-		return 0
-	}
-}
+func (h *JobHandle) CommitTS() Timestamp { return h.commitTS() }
 
 // Wait blocks until the job finished (including the uber-transaction's
 // commit or abort, and any retries) and returns its final stats. Stats are
@@ -721,16 +623,6 @@ func (h *JobHandle) Wait() (ExecStats, error) {
 	<-h.done
 	return h.stats, h.err
 }
-
-// Cancel asks the job to stop: its remaining sub-transactions retire at
-// the next scheduling point, the uber-transaction aborts (no updates
-// become visible), no further retry attempts are made, and Wait reports
-// ErrJobCancelled.
-func (h *JobHandle) Cancel() { h.cancelOnce.Do(func() { close(h.cancelCh) }) }
-
-// Attempts returns how many times the run has been submitted to the engine
-// so far: 1 without retries, more when the retry policy resubmitted it.
-func (h *JobHandle) Attempts() int { return int(h.attempts.Load()) }
 
 // Stats returns a live snapshot while the job runs, or the final stats
 // once it finished.
@@ -743,10 +635,6 @@ func (h *JobHandle) Stats() ExecStats {
 	}
 }
 
-// Done returns a channel closed when the job (and its commit/abort) is
-// finished.
-func (h *JobHandle) Done() <-chan struct{} { return h.done }
-
 // SubmitML starts one ML algorithm as an uber-transaction on the
 // database's shared worker pool and returns without waiting: it installs
 // iterative records on the attached tables, then drives the
@@ -756,81 +644,27 @@ func (h *JobHandle) Done() <-chan struct{} { return h.done }
 // untouched. Cancelling ctx cancels the job (Wait then reports ctx's
 // error).
 func (db *DB) SubmitML(ctx context.Context, run MLRun) (*JobHandle, error) {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return nil, ErrClosed
-	}
-	// Registered under the same critical section as the closed check, so a
-	// concurrent Close either rejects this submission or waits for its
-	// commit/abort; every error return below must deregister.
-	db.handles.Add(1)
-	pool := db.pool
-	db.mu.Unlock()
-
-	// Admission control: the slot spans the whole run — every retry attempt
-	// plus the final commit/abort — so WithMaxInflight bounds real engine
-	// load, not just the momentary submission rate.
-	if err := db.gate.Acquire(ctx, db.admitWait); err != nil {
-		db.handles.Done()
-		if run.Observer != nil && err == resilience.ErrOverloaded {
-			run.Observer.Inc(0, obs.LoadSheds)
-		}
+	if err := db.admit(ctx, run.Observer); err != nil {
 		return nil, err
 	}
-
-	// Resolve the effective supervision settings: per-run values override
-	// the database defaults.
-	cfg := exec.JobConfig{
-		BatchSize:        run.BatchSize,
-		MaxIterations:    run.MaxIterations,
-		Deadline:         run.Deadline,
-		StallTimeout:     run.StallTimeout,
-		RegionOf:         run.RegionOf,
-		IterationHook:    run.IterationHook,
-		ConvergeTogether: run.ConvergeTogether,
-		Observer:         run.Observer,
-		Tracer:           run.Tracer,
-		Label:            run.Label,
-		Chaos:            run.Chaos,
-		Recorder:         run.Recorder,
-	}
+	set := db.settings(run)
+	cfg := set.jobConfig(run)
 	if cfg.Tracer == nil {
 		cfg.Tracer = db.tracer
 	}
-	if db.agg != nil {
-		if cfg.Observer == nil {
-			// The debug server aggregates across runs; give uninstrumented
-			// runs an observer so /metrics reflects them too.
-			cfg.Observer = obs.New()
-		}
-		db.agg.Attach(cfg.Observer)
-	}
-	if cfg.Deadline <= 0 {
-		cfg.Deadline = db.deadline
-	}
-	if cfg.StallTimeout <= 0 {
-		cfg.StallTimeout = db.stall
-	}
-	policy := db.retry
-	if run.Retry != nil {
-		policy = *run.Retry
-	}
-	if db.degrade != nil {
-		batch := cfg.BatchSize
-		if batch <= 0 {
-			batch = exec.DefaultBatchSize
-		}
-		cfg.BatchSize = db.degrade(db.gate.Pressure(), batch)
+	if db.agg != nil && cfg.Observer == nil {
+		// The debug server aggregates across runs; give uninstrumented runs
+		// an observer so /metrics reflects them too.
+		cfg.Observer = obs.New()
 	}
 
-	// begin opens one attempt's uber-transaction and installs the iterative
-	// records; each retry repeats it from scratch, since the failed
-	// attempt's Abort tore everything down.
-	begin := func() (*itx.Uber, error) {
+	// start opens one attempt: it begins the uber-transaction, installs the
+	// iterative records, and submits the job. Each retry repeats it from
+	// scratch, since the failed attempt's abort tore everything down.
+	start := func() (*itx.Uber, *exec.Job, error) {
 		u, err := itx.BeginUber(db.mgr, run.Isolation)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for _, a := range run.Attach {
 			v := a.Versions
@@ -839,151 +673,88 @@ func (db *DB) SubmitML(ctx context.Context, run MLRun) (*JobHandle, error) {
 			}
 			if err := u.Attach(a.Table, a.Rows, v); err != nil {
 				_ = u.Abort()
-				return nil, err
+				return nil, nil, err
 			}
 		}
-		return u, nil
-	}
-
-	u, err := begin()
-	if err != nil {
-		db.gate.Release()
-		db.handles.Done()
-		return nil, err
-	}
-
-	// Legacy per-run sizing: a throwaway private pool, shared across retry
-	// attempts and closed when the handle resolves.
-	private := false
-	if run.Workers > 0 || run.Regions > 0 {
-		pcfg := exec.Config{Workers: run.Workers}
-		if run.Regions > 0 {
-			pcfg.Topology = numa.NewTopology(run.Regions, pcfg.Resolved().Workers)
-		}
-		p, err := exec.NewPool(pcfg)
+		job, err := db.pool.Submit(run.Subs, run.Isolation, cfg)
 		if err != nil {
 			_ = u.Abort()
-			db.gate.Release()
-			db.handles.Done()
-			return nil, err
+			if err == exec.ErrPoolClosed {
+				err = ErrClosed
+			}
+			return nil, nil, err
 		}
-		pool, private = p, true
+		return u, job, nil
 	}
-
-	job, err := pool.Submit(run.Subs, run.Isolation, cfg)
+	u, job, err := start()
 	if err != nil {
-		if private {
-			pool.Close()
-		}
-		_ = u.Abort()
-		db.gate.Release()
-		db.handles.Done()
-		if err == exec.ErrPoolClosed {
-			err = ErrClosed
-		}
+		db.release()
 		return nil, err
 	}
+	db.agg.Attach(cfg.Observer)
 
-	h := &JobHandle{done: make(chan struct{}), cancelCh: make(chan struct{}), started: time.Now()}
+	h := &JobHandle{started: time.Now()}
+	h.init(ctx)
 	h.job.Store(job)
-	h.attempts.Store(1)
-	if db.debug != nil {
-		db.jobsMu.Lock()
-		db.liveJobs[h] = jobMeta{deadline: cfg.Deadline}
-		db.jobsMu.Unlock()
-	}
-	go db.supervise(ctx, h, u, pool, private, run, cfg, policy, begin)
-	return h, nil
-}
-
-// quiesceGrace bounds how long supervise waits, after a forced retirement,
-// for in-flight workers to acknowledge the cancellation before it aborts the
-// uber-transaction anyway. A worker still wedged past the grace can no
-// longer install anything (the engine re-checks cancellation between Execute
-// and Finalize), but resubmitting the same sub-transactions underneath it
-// would be unsafe — so a non-quiesced job is never retried.
-const quiesceGrace = time.Second
-
-// supervise drives one SubmitML handle to resolution: it watches the
-// in-flight attempt, commits on success, aborts on failure, and — when the
-// retry policy allows — backs off and resubmits. It owns h.stats/h.err and
-// closes h.done exactly once, after the last attempt's commit or abort, so
-// "Wait returned" always means "nothing of this run is still in flight" —
-// up to a worker wedged in user code beyond quiesceGrace, whose attempt can
-// no longer publish anything and is never retried under.
-func (db *DB) supervise(ctx context.Context, h *JobHandle, u *itx.Uber,
-	pool *exec.Pool, private bool, run MLRun, cfg exec.JobConfig,
-	policy RetryPolicy, begin func() (*itx.Uber, error)) {
-	defer db.handles.Done()
-	defer db.gate.Release()
-	if db.agg != nil {
-		defer db.agg.Complete(cfg.Observer)
-	}
-	defer db.settleJob(h, cfg.Deadline)
-	defer close(h.done)
-	if private {
-		defer pool.Close()
-	}
-	abort := func() {
-		_ = u.Abort()
-		if run.Recorder != nil {
-			run.Recorder.RecordUberAbort()
-		}
-	}
-	// The first attempt's job id decorrelates this handle's jittered backoff
-	// schedule from other handles sharing the same policy; it stays fixed
-	// across attempts so the per-handle schedule is deterministic.
-	token := h.job.Load().ID()
-	for attempt := 1; ; attempt++ {
-		job := h.job.Load()
-		// The watcher is inline — not a separate goroutine — so job
-		// completion releases it immediately even when ctx is never
-		// cancelled: nothing here can outlive the handle. (A nil
-		// ctx.Done() channel simply never fires.)
-		select {
-		case <-ctx.Done():
-			job.Cancel()
-		case <-h.cancelCh:
-			job.Cancel()
-		case <-job.Done():
-		}
-		stats, err := job.Wait()
-		h.stats = stats
-		// A forced retirement (stall conviction, deadline force-finish)
-		// resolves Wait while a wedged worker may still be mid-Execute; wait
-		// for every in-flight worker to acknowledge the cancellation before
-		// touching the uber-transaction it is attached to. Instant after a
-		// natural finish.
-		quiesced := job.Quiesce(quiesceGrace)
-		if err == nil {
+	db.runs.track(&h.handleCore, func(state string) []introspect.JobInfo {
+		j := h.job.Load()
+		return []introspect.JobInfo{introspect.NewJobInfo(j.ID(), j.Label(), state,
+			h.Attempts(), j.Live(), j.Total(), j.Started(), cfg.Deadline)}
+	})
+	tables := distinctTables(run.Attach)
+	go db.supervise(&h.handleCore, attempt{
+		policy: set.policy,
+		token:  job.ID(),
+		obs:    cfg.Observer,
+		tracer: cfg.Tracer,
+		try: func() (bool, error) {
+			job := h.job.Load()
+			// Inline, not a goroutine, so job completion releases the watch
+			// even when ctx is never cancelled.
+			select {
+			case <-h.ctx.Done():
+				job.Cancel()
+			case <-job.Done():
+			}
+			stats, err := job.Wait()
+			h.stats = stats
+			// A forced retirement (stall conviction, deadline force-finish)
+			// resolves Wait while a wedged worker may still be mid-Execute;
+			// wait for every in-flight worker to acknowledge the cancellation
+			// before touching the uber-transaction it is attached to.
+			// Instant after a natural finish.
+			quiesced := job.Quiesce(quiesceGrace)
+			if err != nil {
+				_ = u.Abort()
+				if run.Recorder != nil {
+					run.Recorder.RecordUberAbort()
+				}
+				return quiesced, err
+			}
 			if db.dur.killed(chaos.CrashBeforePrepare) {
 				// Simulated death before the uber-commit's prepare: nothing
 				// was published and nothing is acknowledged.
 				_ = u.Abort()
-				h.err = chaos.ErrCrashed
-				return
+				return false, chaos.ErrCrashed
 			}
-			ts, cerr := u.Commit()
-			if cerr != nil {
+			ts, err := u.Commit()
+			if err != nil {
 				if run.Recorder != nil {
 					run.Recorder.RecordUberAbort()
 				}
-				h.err = cerr
-				return
+				return false, err
 			}
 			if db.dur.killed(chaos.CrashAfterPrepare) {
 				// Published in memory but never logged: the commit vanishes
 				// on recovery, and since it is never acknowledged here,
 				// committed-exactly-or-absent holds.
-				h.err = chaos.ErrCrashed
-				return
+				return false, chaos.ErrCrashed
 			}
 			if db.dur != nil {
-				if werr := db.dur.appendCommit(ts, distinctTables(run.Attach), job.ID()); werr != nil {
+				if err := db.dur.appendCommit(ts, tables, job.ID()); err != nil {
 					// The append or its fsync failed — the commit may not
 					// survive a restart, so it must not be acknowledged.
-					h.err = werr
-					return
+					return false, err
 				}
 			}
 			h.ts = ts
@@ -995,73 +766,33 @@ func (db *DB) supervise(ctx context.Context, h *JobHandle, u *itx.Uber,
 			if cfg.Observer != nil {
 				cfg.Observer.RecordLatency(0, obs.JobCommitLatency, int64(time.Since(h.started)))
 			}
-			if cfg.Tracer != nil {
-				cfg.Tracer.Instant(0, trace.KindCommit, job.ID(), int64(ts))
+			cfg.Tracer.Instant(0, trace.KindCommit, job.ID(), int64(ts))
+			return false, nil
+		},
+		resubmit: func() (uint64, error) {
+			nu, nj, err := start()
+			if err != nil {
+				return 0, err
 			}
-			return
-		}
-		abort()
-		if err == exec.ErrJobCancelled && ctx.Err() != nil {
-			err = ctx.Err()
-		}
-		delay, retry := policy.ShouldRetryFor(token, err, attempt)
-		if !quiesced {
-			// A worker is still wedged inside this attempt's user code and
-			// shares the sub-transaction instances a retry would re-begin;
-			// resubmitting underneath it could mix attempts. Terminal.
-			retry = false
-		}
-		if !retry || ctx.Err() != nil || cancelled(h.cancelCh) {
-			h.err = err
-			return
-		}
-		// Deterministic backoff; a cancellation during the sleep resolves
-		// the handle with the attempt's error immediately.
-		timer := time.NewTimer(delay)
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			timer.Stop()
-			h.err = ctx.Err()
-			return
-		case <-h.cancelCh:
-			timer.Stop()
-			h.err = err
-			return
-		}
-		nu, berr := begin()
-		if berr != nil {
-			h.err = berr
-			return
-		}
-		u = nu
-		nj, serr := pool.Submit(run.Subs, run.Isolation, cfg)
-		if serr != nil {
-			abort()
-			h.err = serr
-			return
-		}
-		h.job.Store(nj)
-		h.attempts.Store(int32(attempt + 1))
-		if cfg.Observer != nil {
-			// Submit's BeginRun archived the failed attempt's counters into
-			// the cumulative view; count this resubmission once there.
-			cfg.Observer.Add(0, obs.Retries, 1)
-		}
-		if cfg.Tracer != nil {
-			cfg.Tracer.Instant(0, trace.KindRetry, nj.ID(), int64(attempt+1))
-		}
-	}
+			u = nu
+			h.job.Store(nj)
+			return nj.ID(), nil
+		},
+		settle: func() {
+			db.runs.settle(&h.handleCore)
+			db.agg.Complete(cfg.Observer)
+		},
+	})
+	return h, nil
 }
 
-func cancelled(ch <-chan struct{}) bool {
-	select {
-	case <-ch:
-		return true
-	default:
-		return false
-	}
-}
+// quiesceGrace bounds how long an attempt waits, after a forced retirement,
+// for in-flight workers to acknowledge the cancellation before it aborts the
+// uber-transaction anyway. A worker still wedged past the grace can no
+// longer install anything (the engine re-checks cancellation between Execute
+// and Finalize), but resubmitting the same sub-transactions underneath it
+// would be unsafe — so a non-quiesced job is never retried.
+const quiesceGrace = time.Second
 
 // RunML executes one ML algorithm as an uber-transaction and blocks until
 // it finished — SubmitML followed by Wait. On error the uber-transaction

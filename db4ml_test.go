@@ -8,9 +8,9 @@ import (
 	"db4ml/internal/storage"
 )
 
-func openWithCounters(t *testing.T, n int) (*DB, *Table) {
+func openWithCounters(t *testing.T, n int, opts ...Option) (*DB, *Table) {
 	t.Helper()
-	db := Open()
+	db := Open(opts...)
 	tbl, err := db.CreateTable("Counter",
 		Column{Name: "ID", Type: Int64},
 		Column{Name: "Value", Type: Float64},
@@ -106,14 +106,13 @@ func (s *incSub) Validate(ctx *Ctx) Action {
 
 func TestRunMLEndToEnd(t *testing.T) {
 	const n = 40
-	db, tbl := openWithCounters(t, n)
+	db, tbl := openWithCounters(t, n, WithWorkers(4))
 	subs := make([]IterativeTransaction, n)
 	for i := range subs {
 		subs[i] = &incSub{tbl: tbl, row: RowID(i), target: 7}
 	}
 	stats, err := db.RunML(MLRun{
 		Isolation: MLOptions{Level: Asynchronous},
-		Workers:   4,
 		BatchSize: 8,
 		Attach:    []Attachment{{Table: tbl}},
 		Subs:      subs,
@@ -144,7 +143,7 @@ func TestRunMLInvalidIsolation(t *testing.T) {
 }
 
 func TestRunMLAttachFailureAborts(t *testing.T) {
-	db, tbl := openWithCounters(t, 2)
+	db, tbl := openWithCounters(t, 2, WithWorkers(2))
 	// Attach the same table twice: the second StartIterative must fail and
 	// the first must be rolled back so the table is reusable.
 	_, err := db.RunML(MLRun{
@@ -158,7 +157,6 @@ func TestRunMLAttachFailureAborts(t *testing.T) {
 	subs := []IterativeTransaction{&incSub{tbl: tbl, row: 0, target: 1}}
 	if _, err := db.RunML(MLRun{
 		Isolation: MLOptions{Level: Asynchronous},
-		Workers:   2,
 		Attach:    []Attachment{{Table: tbl}},
 		Subs:      subs,
 	}); err != nil {
@@ -169,14 +167,13 @@ func TestRunMLAttachFailureAborts(t *testing.T) {
 func TestRunMLSynchronousDeterministic(t *testing.T) {
 	const n = 16
 	run := func(workers int) []float64 {
-		db, tbl := openWithCounters(t, n)
+		db, tbl := openWithCounters(t, n, WithWorkers(workers))
 		subs := make([]IterativeTransaction, n)
 		for i := range subs {
 			subs[i] = &incSub{tbl: tbl, row: RowID(i), target: 5}
 		}
 		if _, err := db.RunML(MLRun{
 			Isolation: MLOptions{Level: Synchronous},
-			Workers:   workers,
 			Attach:    []Attachment{{Table: tbl}},
 			Subs:      subs,
 		}); err != nil {

@@ -53,7 +53,7 @@ func (s *smoother) Validate(ctx *db4ml.Ctx) db4ml.Action {
 }
 
 func main() {
-	db := db4ml.Open()
+	db := db4ml.Open(db4ml.WithWorkers(2))
 	defer db.Close()
 	accounts, err := db.CreateTable("Account",
 		db4ml.Column{Name: "ID", Type: db4ml.Int64},
@@ -139,7 +139,6 @@ func main() {
 	}
 	stats, err := db.RunML(db4ml.MLRun{
 		Isolation: db4ml.MLOptions{Level: db4ml.Asynchronous},
-		Workers:   2,
 		Attach:    []db4ml.Attachment{{Table: signals}},
 		Subs:      subs,
 	})

@@ -71,7 +71,7 @@ func (s *prSub) Validate(ctx *db4ml.Ctx) db4ml.Action {
 func main() {
 	// A small scale-free graph standing in for a web/social graph.
 	g := graph.BarabasiAlbert(2000, 8, 42)
-	db := db4ml.Open()
+	db := db4ml.Open(db4ml.WithWorkers(4))
 	defer db.Close()
 
 	node, err := db.CreateTable("Node",
@@ -133,7 +133,6 @@ func main() {
 	observer := db4ml.NewObserver()
 	stats, err := db.RunML(db4ml.MLRun{
 		Isolation: db4ml.MLOptions{Level: db4ml.Synchronous},
-		Workers:   4,
 		Attach:    []db4ml.Attachment{{Table: node}},
 		Subs:      subs,
 		// PageRank needs Galois-style global convergence: a node's rank

@@ -44,7 +44,7 @@ func (h *halver) Validate(ctx *db4ml.Ctx) db4ml.Action {
 }
 
 func main() {
-	db := db4ml.Open()
+	db := db4ml.Open(db4ml.WithWorkers(4))
 	defer db.Close()
 
 	// 1. Create an ML-table and bulk load it.
@@ -94,7 +94,6 @@ func main() {
 	}
 	stats, err := db.RunML(db4ml.MLRun{
 		Isolation: db4ml.MLOptions{Level: db4ml.Asynchronous},
-		Workers:   4,
 		Attach:    []db4ml.Attachment{{Table: values}},
 		Subs:      subs,
 	})

@@ -79,12 +79,15 @@ func (s *sgdSub) Validate(ctx *db4ml.Ctx) db4ml.Action {
 
 func main() {
 	const features = 100
+	// One sub-transaction per worker, each owning a contiguous partition
+	// of the shuffled samples (Algorithm 3 of the paper).
+	const workers = 4
 	train, test := svm.Generate(svm.GenSpec{
 		Train: 20000, Test: 4000, Features: features, Density: 0.3, Noise: 0.05, Seed: 7,
 	})
 	svm.Shuffle(train, 7)
 
-	db := db4ml.Open()
+	db := db4ml.Open(db4ml.WithWorkers(workers))
 	defer db.Close()
 	params, err := db.CreateTable("GlobalParameter",
 		db4ml.Column{Name: "ParamID", Type: db4ml.Int64},
@@ -102,9 +105,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// One sub-transaction per worker, each owning a contiguous partition
-	// of the shuffled samples (Algorithm 3 of the paper).
-	const workers = 4
 	per := len(train) / workers
 	subs := make([]db4ml.IterativeTransaction, workers)
 	for w := 0; w < workers; w++ {
@@ -117,7 +117,6 @@ func main() {
 
 	stats, err := db.RunML(db4ml.MLRun{
 		Isolation: db4ml.MLOptions{Level: db4ml.Asynchronous},
-		Workers:   workers,
 		Attach:    []db4ml.Attachment{{Table: params}},
 		Subs:      subs,
 	})

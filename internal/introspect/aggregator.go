@@ -71,8 +71,14 @@ func NewShardedAggregator(n int) *ShardedAggregator {
 	return s
 }
 
-// Shard returns shard i's aggregator.
-func (s *ShardedAggregator) Shard(i int) *Aggregator { return s.shards[i] }
+// Shard returns shard i's aggregator, or nil on a nil ShardedAggregator —
+// so, like Aggregator, an optional one threads through unguarded.
+func (s *ShardedAggregator) Shard(i int) *Aggregator {
+	if s == nil {
+		return nil
+	}
+	return s.shards[i]
+}
 
 // Shards returns the shard count.
 func (s *ShardedAggregator) Shards() int { return len(s.shards) }

@@ -96,6 +96,45 @@ func rebindScans(n *Node, shard int, rebind func(*table.Table, int) *table.Table
 	return nil
 }
 
+// splitScatter peels gather-side stages off the top of n until the
+// remainder is a shard-safe fragment, returning that fragment and the peeled
+// stages (peeled[0] is the outermost). It fails when no such split exists.
+func splitScatter(n *Node) (frag *Node, peeled []*Node, err error) {
+	for scatterable(n) != nil {
+		switch n.kind {
+		case kLimit, kSort, kAgg, kFilter, kProject:
+			if n.kind == kFilter {
+				// A RowRange filter can neither scatter nor gather — row ids
+				// are shard-local, and the gather input is not a table scan.
+				for _, p := range n.preds {
+					if p.isRange {
+						return nil, nil, fmt.Errorf("plan: RowRange cannot run on a sharded table (row ids are shard-local)")
+					}
+				}
+			}
+			peeled = append(peeled, n)
+			n = n.children[0]
+		default:
+			// The offending node is not a peelable stage; surface the
+			// fragment error, which names it.
+			return nil, nil, scatterable(n)
+		}
+	}
+	return n, peeled, nil
+}
+
+// CheckScatter reports why root cannot run scatter-gather — a join, an
+// iterate node, a static input, or a RowRange predicate — or nil when it
+// can. It is the shape check ScatterGather starts with, exposed so a
+// sharded submission can refuse a plan before admitting it.
+func CheckScatter(root *Node) error {
+	if root == nil {
+		return fmt.Errorf("plan: nil root")
+	}
+	_, _, err := splitScatter(root)
+	return err
+}
+
 // ScatterGather executes root across shards: envs holds one Env per shard
 // (each with that shard's manager — fragment snapshots pin per shard), and
 // rebind maps a scanned table to its shard-local counterpart (nil = the
@@ -112,30 +151,9 @@ func ScatterGather(ctx context.Context, root *Node, envs []Env,
 		return nil, fmt.Errorf("plan: scatter over zero shards")
 	}
 
-	// Peel gather-side stages off the top until the remainder is a
-	// shard-safe fragment. peeled[0] is the outermost stage.
-	n := root.clone()
-	var peeled []*Node
-	cur := n
-	for scatterable(cur) != nil {
-		switch cur.kind {
-		case kLimit, kSort, kAgg, kFilter, kProject:
-			if cur.kind == kFilter {
-				// A RowRange filter can neither scatter nor gather — row ids
-				// are shard-local, and the gather input is not a table scan.
-				for _, p := range cur.preds {
-					if p.isRange {
-						return nil, fmt.Errorf("plan: RowRange cannot run on a sharded table (row ids are shard-local)")
-					}
-				}
-			}
-			peeled = append(peeled, cur)
-			cur = cur.children[0]
-		default:
-			// The offending node is not a peelable stage; surface the
-			// fragment error, which names it.
-			return nil, scatterable(cur)
-		}
+	cur, peeled, err := splitScatter(root.clone())
+	if err != nil {
+		return nil, err
 	}
 
 	// Scatter: one fragment per shard, each prepared (pushdown and all)

@@ -74,15 +74,14 @@ type UberRun struct {
 
 // Handle tracks one in-flight distributed uber-transaction.
 type Handle struct {
-	done       chan struct{}
-	cancelOnce sync.Once
-	cancelCh   chan struct{}
+	done chan struct{}
 
-	jobs    []*exec.Job // index = shard; nil for shards that ran no job
-	stats   []exec.Stats
-	traceID uint64 // correlation id shared by every shard's spans
-	ts      storage.Timestamp
-	err     error
+	jobs     []*exec.Job // index = shard; nil for shards that ran no job
+	stats    []exec.Stats
+	traceID  uint64 // correlation id shared by every shard's spans
+	quiesced bool
+	ts       storage.Timestamp
+	err      error
 }
 
 // TraceID returns the coordinator-assigned correlation id every shard's
@@ -110,8 +109,22 @@ func (h *Handle) Wait() ([]exec.Stats, storage.Timestamp, error) {
 }
 
 // Cancel asks every shard's job to stop; the distributed uber-transaction
-// aborts on all shards and nothing becomes visible anywhere.
-func (h *Handle) Cancel() { h.cancelOnce.Do(func() { close(h.cancelCh) }) }
+// aborts on all shards and nothing becomes visible anywhere. Cancelling a
+// resolved run is a no-op.
+func (h *Handle) Cancel() {
+	for _, j := range h.jobs {
+		if j != nil {
+			j.Cancel()
+		}
+	}
+}
+
+// Quiesced reports, once Done is closed, whether every shard's workers
+// acknowledged the end of their job within the grace. False means a worker
+// may still be wedged inside a sub-transaction's user code: the run aborted
+// and can publish nothing, but resubmitting the same sub-transaction
+// instances underneath that worker would mix attempts.
+func (h *Handle) Quiesced() bool { return h.quiesced }
 
 // Done returns a channel closed when the run (including the distributed
 // commit/abort) resolved.
@@ -253,11 +266,10 @@ func (co *Coordinator) Submit(run UberRun) (*Handle, error) {
 	}
 
 	h := &Handle{
-		done:     make(chan struct{}),
-		cancelCh: make(chan struct{}),
-		jobs:     make([]*exec.Job, n),
-		stats:    make([]exec.Stats, n),
-		traceID:  uid,
+		done:    make(chan struct{}),
+		jobs:    make([]*exec.Job, n),
+		stats:   make([]exec.Stats, n),
+		traceID: uid,
 	}
 	for i := 0; i < n; i++ {
 		if len(run.Plans[i].Subs) == 0 {
@@ -345,25 +357,9 @@ func (co *Coordinator) resolve(h *Handle, run UberRun, ubers []*itx.Uber, rz *Re
 		defer rz.Break()
 	}
 
-	// Cancellation propagates to every shard's job; the watcher dies with
-	// the handle.
-	stopWatch := make(chan struct{})
-	defer close(stopWatch)
-	go func() {
-		select {
-		case <-h.cancelCh:
-			for _, j := range h.jobs {
-				if j != nil {
-					j.Cancel()
-				}
-			}
-		case <-stopWatch:
-		}
-	}()
-
 	var firstErr error
 	failedShard := -1 // the shard convicted of causing a distributed abort
-	quiesced := true
+	h.quiesced = true
 	for i, j := range h.jobs {
 		if j == nil {
 			continue
@@ -371,14 +367,13 @@ func (co *Coordinator) resolve(h *Handle, run UberRun, ubers []*itx.Uber, rz *Re
 		stats, err := j.Wait()
 		h.stats[i] = stats
 		if !j.Quiesce(quiesceGrace) {
-			quiesced = false
+			h.quiesced = false
 		}
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("shard %d: %w", i, err)
 			failedShard = i
 		}
 	}
-	_ = quiesced // informational: a non-quiesced shard still cannot publish (its uber aborts below)
 
 	recorders := distinctRecorders(run)
 	abortBy := func(shard int) {

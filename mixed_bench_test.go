@@ -82,7 +82,7 @@ func BenchmarkMixedWorkload(b *testing.B) {
 		oltpLoop(b, db, accounts)
 	})
 	b.Run("oltp-with-running-ml", func(b *testing.B) {
-		db := Open()
+		db := Open(WithWorkers(2))
 		accounts := loadBenchTable(b, db, "Account", 1024)
 		signals := loadBenchTable(b, db, "Signal", 256)
 		var stop atomic.Bool
@@ -96,7 +96,6 @@ func BenchmarkMixedWorkload(b *testing.B) {
 			defer wg.Done()
 			if _, err := db.RunML(MLRun{
 				Isolation: MLOptions{Level: Asynchronous},
-				Workers:   2,
 				Attach:    []Attachment{{Table: signals}},
 				Subs:      subs,
 			}); err != nil {

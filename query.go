@@ -2,17 +2,11 @@ package db4ml
 
 import (
 	"context"
-	"errors"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"db4ml/internal/introspect"
 	"db4ml/internal/obs"
 	"db4ml/internal/plan"
 	"db4ml/internal/relational"
-	"db4ml/internal/resilience"
-	"db4ml/internal/trace"
 )
 
 // The declarative query layer (internal/plan), re-exported. Build a
@@ -125,16 +119,11 @@ type QueryRun struct {
 // spans every retry attempt and Wait resolves only when the final attempt
 // produced a result or failed terminally.
 type QueryHandle struct {
-	done       chan struct{}
-	cancelOnce sync.Once
-	cancelCh   chan struct{}
-	attempts   atomic.Int32
-
+	handleCore
 	result  *Relation
 	stats   []QueryOpStat
 	iters   []IterStats
 	explain *ExplainNode
-	err     error
 }
 
 // Wait blocks until the query finished and returns the materialized
@@ -143,17 +132,6 @@ func (h *QueryHandle) Wait() (*Relation, error) {
 	<-h.done
 	return h.result, h.err
 }
-
-// Cancel stops the query: streaming halts at the next stride check, any
-// in-flight iterate job is cancelled and aborted, and Wait reports
-// ErrJobCancelled.
-func (h *QueryHandle) Cancel() { h.cancelOnce.Do(func() { close(h.cancelCh) }) }
-
-// Attempts returns how many times the query has been executed so far.
-func (h *QueryHandle) Attempts() int { return int(h.attempts.Load()) }
-
-// Done returns a channel closed when the query is finished.
-func (h *QueryHandle) Done() <-chan struct{} { return h.done }
 
 // Stats returns the final execution's per-operator row counts; valid after
 // Wait.
@@ -221,153 +199,32 @@ func (db *DB) ExplainQuery(p *Plan) (*ExplainNode, error) {
 // and the abort-retry policy (safe — a failed execution published
 // nothing). The result is fully materialized into the handle.
 func (db *DB) SubmitQuery(ctx context.Context, run QueryRun) (*QueryHandle, error) {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return nil, ErrClosed
-	}
-	db.handles.Add(1)
-	db.mu.Unlock()
-
-	if err := db.gate.Acquire(ctx, db.admitWait); err != nil {
-		db.handles.Done()
-		if run.Observer != nil && err == resilience.ErrOverloaded {
-			run.Observer.Inc(0, obs.LoadSheds)
-		}
+	if err := db.admit(ctx, run.Observer); err != nil {
 		return nil, err
 	}
-
 	env := db.queryEnv(run)
-	if db.agg != nil {
-		if env.Obs == nil {
-			env.Obs = obs.New()
-		}
-		db.agg.Attach(env.Obs)
+	if db.agg != nil && env.Obs == nil {
+		env.Obs = obs.New()
 	}
 	prep, err := plan.Prepare(run.Plan, env)
 	if err != nil {
-		if db.agg != nil {
-			db.agg.Complete(env.Obs)
-		}
-		db.gate.Release()
-		db.handles.Done()
+		db.release()
 		return nil, err
 	}
-	deadline := run.Deadline
-	if deadline <= 0 {
-		deadline = db.deadline
-	}
-	policy := db.retry
-	if run.Retry != nil {
-		policy = *run.Retry
-	}
-
-	h := &QueryHandle{done: make(chan struct{}), cancelCh: make(chan struct{})}
-	go db.superviseQuery(ctx, h, prep, env, deadline, policy)
-	return h, nil
-}
-
-// superviseQuery drives one SubmitQuery handle to resolution, reusing the
-// supervision vocabulary of the ML path: wall-clock deadline via context,
-// cancellation, and policy-driven retry with deterministic backoff.
-func (db *DB) superviseQuery(ctx context.Context, h *QueryHandle, prep *PreparedQuery,
-	env plan.Env, deadline time.Duration, policy RetryPolicy) {
-	defer db.handles.Done()
-	defer db.gate.Release()
-	if db.agg != nil {
-		defer db.agg.Complete(env.Obs)
-	}
-	started := time.Now()
-	defer func() {
-		rows := 0
-		if h.result != nil {
-			rows = len(h.result.Rows)
-		}
-		state := "done"
-		if h.err != nil {
-			state = "failed: " + h.err.Error()
-		}
-		info := introspect.QueryInfo{
-			ID: env.Job, State: state, Rows: rows,
-			Attempts:      int(h.attempts.Load()),
-			ElapsedMillis: time.Since(started).Milliseconds(),
-		}
-		if h.explain != nil {
-			info.Explain = h.explain.Render()
-		}
-		db.recordQuery(info)
-	}()
-	defer close(h.done)
-
-	token := env.Job
-	for attempt := 1; ; attempt++ {
-		h.attempts.Store(int32(attempt))
-		var qctx context.Context
-		var cancel context.CancelFunc
-		if deadline > 0 {
-			qctx, cancel = context.WithTimeout(ctx, deadline)
-		} else {
-			qctx, cancel = context.WithCancel(ctx)
-		}
-		watcherDone := make(chan struct{})
-		go func() {
-			select {
-			case <-h.cancelCh:
-				cancel()
-			case <-watcherDone:
-			}
-		}()
-		rel, stats, iters, expl, err := runOnce(qctx, prep)
-		close(watcherDone)
-		cancel()
+	db.agg.Attach(env.Obs)
+	h := &QueryHandle{}
+	h.init(ctx)
+	db.superviseQuery(h, run, env, db.agg, func(ctx context.Context) error {
+		rel, stats, iters, expl, err := runOnce(ctx, prep)
 		if expl == nil {
 			// The execution died before producing a cursor; fall back to the
 			// planner's tree so Explain (and /debug/query) still show the plan.
 			expl = prep.Explain()
 		}
-		h.explain = expl
-		switch {
-		case err == nil:
-			h.result, h.stats, h.iters = rel, stats, iters
-			return
-		case cancelled(h.cancelCh):
-			h.err = ErrJobCancelled
-			return
-		case ctx.Err() != nil:
-			h.err = ctx.Err()
-			return
-		case errors.Is(err, context.DeadlineExceeded):
-			// The per-query budget expired: same verdict as an ML job that
-			// outran WithDeadline.
-			if env.Obs != nil {
-				env.Obs.Inc(0, obs.DeadlineAborts)
-			}
-			env.Tracer.Instant(0, trace.KindAbort, env.Job, trace.AbortDeadline)
-			h.err = ErrJobDeadline
-			return
-		}
-		delay, retry := policy.ShouldRetryFor(token, err, attempt)
-		if !retry {
-			h.err = err
-			return
-		}
-		timer := time.NewTimer(delay)
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			timer.Stop()
-			h.err = ctx.Err()
-			return
-		case <-h.cancelCh:
-			timer.Stop()
-			h.err = err
-			return
-		}
-		if env.Obs != nil {
-			env.Obs.Add(0, obs.Retries, 1)
-		}
-		env.Tracer.Instant(0, trace.KindRetry, env.Job, int64(attempt+1))
-	}
+		h.result, h.stats, h.iters, h.explain = rel, stats, iters, expl
+		return err
+	})
+	return h, nil
 }
 
 // runOnce executes the prepared plan once and materializes the result,
@@ -392,27 +249,6 @@ func runOnce(ctx context.Context, prep *PreparedQuery) (*Relation, []QueryOpStat
 	}
 	cur.Close()
 	return out, cur.Stats(), cur.IterStats(), cur.Explain(), nil
-}
-
-// queryInfos returns the recent-query table for /debug/query.
-func (db *DB) queryInfos() []introspect.QueryInfo {
-	db.jobsMu.Lock()
-	defer db.jobsMu.Unlock()
-	return append([]introspect.QueryInfo(nil), db.queries...)
-}
-
-// recordQuery appends one settled query to the /debug/query ring. No-op
-// without a debug server.
-func (db *DB) recordQuery(info introspect.QueryInfo) {
-	if db.debug == nil {
-		return
-	}
-	db.jobsMu.Lock()
-	db.queries = append(db.queries, info)
-	if len(db.queries) > maxRecentJobs {
-		db.queries = db.queries[len(db.queries)-maxRecentJobs:]
-	}
-	db.jobsMu.Unlock()
 }
 
 // RunQuery executes one query and blocks until its materialized result is

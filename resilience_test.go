@@ -414,38 +414,90 @@ func TestDefaultDegradation(t *testing.T) {
 
 // TestSubmitMLNoGoroutineLeak: the regression test for the ctx watcher —
 // submitting with a cancellable ctx that is never cancelled must not leave
-// goroutines behind after the jobs complete.
+// goroutines behind after the handles resolve, on every handle kind of both
+// facades.
 func TestSubmitMLNoGoroutineLeak(t *testing.T) {
-	db, tbl := openWithCounters(t, 4)
-	defer db.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	before := runtime.NumGoroutine()
-	for i := 0; i < 50; i++ {
-		subs, _ := flakySubs(tbl, 4, 3, 0)
-		h, err := db.SubmitML(ctx, MLRun{
+	const n = 4
+	mlRun := func(tbl *Table) MLRun {
+		subs, _ := flakySubs(tbl, n, 3, 0)
+		return MLRun{
 			Isolation: MLOptions{Level: Asynchronous},
 			Attach:    []Attachment{{Table: tbl}},
 			Subs:      subs,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := h.Wait(); err != nil {
-			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= before+3 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: before=%d after=%d", before, runtime.NumGoroutine())
-		}
-		time.Sleep(20 * time.Millisecond)
+	// Each case opens a database and returns one submit-and-wait round trip
+	// plus the database's Close.
+	cases := []struct {
+		name string
+		open func(t *testing.T) (func(context.Context) error, func() error)
+	}{
+		{"DB.SubmitML", func(t *testing.T) (func(context.Context) error, func() error) {
+			db, tbl := openWithCounters(t, n)
+			return func(ctx context.Context) error {
+				h, err := db.SubmitML(ctx, mlRun(tbl))
+				if err == nil {
+					_, err = h.Wait()
+				}
+				return err
+			}, db.Close
+		}},
+		{"DB.SubmitQuery", func(t *testing.T) (func(context.Context) error, func() error) {
+			db, tbl := openWithCounters(t, n)
+			return func(ctx context.Context) error {
+				h, err := db.SubmitQuery(ctx, QueryRun{Plan: Scan(tbl)})
+				if err == nil {
+					_, err = h.Wait()
+				}
+				return err
+			}, db.Close
+		}},
+		{"ShardedDB.SubmitML", func(t *testing.T) (func(context.Context) error, func() error) {
+			db, tbl := openShardedCounters(t, 2, n)
+			return func(ctx context.Context) error {
+				h, err := db.SubmitML(ctx, mlRun(tbl))
+				if err == nil {
+					_, err = h.Wait()
+				}
+				return err
+			}, db.Close
+		}},
+		{"ShardedDB.SubmitQuery", func(t *testing.T) (func(context.Context) error, func() error) {
+			db, tbl := openShardedCounters(t, 2, n)
+			return func(ctx context.Context) error {
+				h, err := db.SubmitQuery(ctx, QueryRun{Plan: Scan(tbl)})
+				if err == nil {
+					_, err = h.Wait()
+				}
+				return err
+			}, db.Close
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			submit, closeDB := c.open(t)
+			defer closeDB()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+
+			before := runtime.NumGoroutine()
+			for i := 0; i < 50; i++ {
+				if err := submit(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				runtime.GC()
+				if n := runtime.NumGoroutine(); n <= before+3 {
+					return
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines leaked: before=%d after=%d", before, runtime.NumGoroutine())
+				}
+				time.Sleep(20 * time.Millisecond)
+			}
+		})
 	}
 }
 

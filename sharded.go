@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"db4ml/internal/chaos"
 	"db4ml/internal/exec"
@@ -16,7 +16,6 @@ import (
 	"db4ml/internal/obs"
 	"db4ml/internal/partition"
 	"db4ml/internal/plan"
-	"db4ml/internal/resilience"
 	"db4ml/internal/shard"
 	"db4ml/internal/table"
 	"db4ml/internal/trace"
@@ -73,6 +72,8 @@ func WithShardScheme(s partition.Scheme) Option {
 // uber-transaction; queries scatter across shards and gather; OLTP reads
 // pin one snapshot per shard.
 type ShardedDB struct {
+	supervisor
+
 	cluster *shard.Cluster
 	co      *shard.Coordinator
 	scheme  partition.Scheme
@@ -89,16 +90,7 @@ type ShardedDB struct {
 	// oldest active snapshot and pruning only the locals that shard owns.
 	reclaimers []*gc.Reclaimer
 
-	deadline  time.Duration
-	stall     time.Duration
-	retry     RetryPolicy
-	gate      *resilience.Gate
-	admitWait bool
-	degrade   func(pressure float64, batch int) int
-
 	tracerOnce sync.Once
-	runID      atomic.Uint64
-	queryID    atomic.Uint64
 
 	// Introspection state, non-nil only under WithDebugServer: the
 	// coordinator's own tracer (uber-begin, per-shard prepare, 2PC commit
@@ -109,15 +101,6 @@ type ShardedDB struct {
 	shardTracers []*trace.Tracer
 	agg          *introspect.ShardedAggregator
 	debug        *introspect.Server
-
-	jobsMu   sync.Mutex
-	liveJobs map[*ShardedJobHandle]jobMeta
-	recent   []introspect.JobInfo
-	queries  []introspect.QueryInfo
-
-	mu      sync.Mutex
-	closed  bool
-	handles sync.WaitGroup
 }
 
 // OpenSharded creates an empty sharded database and starts every shard's
@@ -144,17 +127,12 @@ func OpenSharded(opts ...Option) *ShardedDB {
 		panic("db4ml: " + err.Error())
 	}
 	db := &ShardedDB{
-		cluster:   cluster,
-		co:        shard.NewCoordinator(cluster),
-		scheme:    oc.shardScheme,
-		tables:    make(map[string]*ShardedTable),
-		byView:    make(map[*Table]*ShardedTable),
-		deadline:  oc.deadline,
-		stall:     oc.stall,
-		retry:     oc.retry,
-		gate:      resilience.NewGate(oc.maxInflight),
-		admitWait: oc.admitWait,
-		degrade:   oc.degrade,
+		supervisor: newSupervisor(&oc),
+		cluster:    cluster,
+		co:         shard.NewCoordinator(cluster),
+		scheme:     oc.shardScheme,
+		tables:     make(map[string]*ShardedTable),
+		byView:     make(map[*Table]*ShardedTable),
 	}
 	db.reclaimers = make([]*gc.Reclaimer, oc.shards)
 	for s := 0; s < oc.shards; s++ {
@@ -178,12 +156,11 @@ func OpenSharded(opts ...Option) *ShardedDB {
 			db.shardTracers[s] = trace.New(workers, 0)
 		}
 		db.agg = introspect.NewShardedAggregator(oc.shards)
-		db.liveJobs = make(map[*ShardedJobHandle]jobMeta)
 		srv, err := introspect.Start(introspect.Config{
 			Addr:    oc.debugAddr,
 			Metrics: db.agg.Snapshot,
-			Jobs:    db.jobInfos,
-			Queries: db.queryInfos,
+			Jobs:    db.runs.jobs,
+			Queries: db.runs.queryInfos,
 			Shards:  db.shardInfos,
 			Sources: db.traceSources,
 		})
@@ -241,83 +218,6 @@ func (db *ShardedDB) shardInfos() []introspect.ShardInfo {
 	return out
 }
 
-// jobInfos assembles the sharded /debug/jobs table: one row per (job,
-// shard) so per-shard progress of one distributed run reads side by side —
-// all rows of one run share its correlation id.
-func (db *ShardedDB) jobInfos() []introspect.JobInfo {
-	db.jobsMu.Lock()
-	defer db.jobsMu.Unlock()
-	out := append([]introspect.JobInfo(nil), db.recent...)
-	for h, m := range db.liveJobs {
-		inner := h.inner.Load()
-		for s := 0; s < db.cluster.Shards(); s++ {
-			j := inner.ShardJob(s)
-			if j == nil {
-				continue
-			}
-			info := introspect.NewJobInfo(inner.TraceID(), j.Label(), "running",
-				h.Attempts(), j.Live(), j.Total(), j.Started(), m.deadline)
-			sh := s
-			info.Shard = &sh
-			out = append(out, info)
-		}
-	}
-	return out
-}
-
-// settleJob moves a resolved distributed handle's per-shard rows from the
-// live job table to the recent list, stamping the global commit timestamp.
-// No-op without a debug server.
-func (db *ShardedDB) settleJob(h *ShardedJobHandle, deadline time.Duration) {
-	if db.debug == nil {
-		return
-	}
-	inner := h.inner.Load()
-	state := "done"
-	if h.err != nil {
-		state = "failed: " + h.err.Error()
-	}
-	db.jobsMu.Lock()
-	delete(db.liveJobs, h)
-	for s := 0; s < db.cluster.Shards(); s++ {
-		j := inner.ShardJob(s)
-		if j == nil {
-			continue
-		}
-		info := introspect.NewJobInfo(inner.TraceID(), j.Label(), state,
-			h.Attempts(), j.Live(), j.Total(), j.Started(), deadline)
-		sh := s
-		info.Shard = &sh
-		info.CommitTS = uint64(h.ts)
-		db.recent = append(db.recent, info)
-	}
-	if len(db.recent) > maxRecentJobs {
-		db.recent = db.recent[len(db.recent)-maxRecentJobs:]
-	}
-	db.jobsMu.Unlock()
-}
-
-// queryInfos returns the recent scattered-query table for /debug/query.
-func (db *ShardedDB) queryInfos() []introspect.QueryInfo {
-	db.jobsMu.Lock()
-	defer db.jobsMu.Unlock()
-	return append([]introspect.QueryInfo(nil), db.queries...)
-}
-
-// recordQuery appends one settled query to the /debug/query ring. No-op
-// without a debug server.
-func (db *ShardedDB) recordQuery(info introspect.QueryInfo) {
-	if db.debug == nil {
-		return
-	}
-	db.jobsMu.Lock()
-	db.queries = append(db.queries, info)
-	if len(db.queries) > maxRecentJobs {
-		db.queries = db.queries[len(db.queries)-maxRecentJobs:]
-	}
-	db.jobsMu.Unlock()
-}
-
 // localTables snapshots shard s's local tables for its reclaimer.
 func (db *ShardedDB) localTables(s int) []*table.Table {
 	db.tblMu.RLock()
@@ -341,9 +241,7 @@ func (db *ShardedDB) Cluster() *shard.Cluster { return db.cluster }
 // worker pools. Further submissions fail with ErrClosed; reads keep
 // working.
 func (db *ShardedDB) Close() error {
-	db.mu.Lock()
-	db.closed = true
-	db.mu.Unlock()
+	db.stopAdmitting()
 	db.co.Close()
 	db.handles.Wait()
 	db.cluster.Close()
@@ -518,16 +416,10 @@ func (db *ShardedDB) GCStats() (passes, pruned uint64) {
 // on every shard, so resubmission is side-effect-free) and resolves only
 // when the final attempt's two-phase commit or abort settled everywhere.
 type ShardedJobHandle struct {
-	inner      atomic.Pointer[shard.Handle]
-	attempts   atomic.Int32
-	done       chan struct{}
-	cancelOnce sync.Once
-	cancelCh   chan struct{}
-	observers  []*Observer
-
-	stats []ExecStats
-	ts    Timestamp
-	err   error
+	handleCore
+	inner     atomic.Pointer[shard.Handle]
+	observers []*Observer
+	stats     []ExecStats
 }
 
 // Wait blocks until the distributed run finished (commit or abort on every
@@ -539,22 +431,9 @@ func (h *ShardedJobHandle) Wait() ([]ExecStats, error) {
 }
 
 // CommitTS returns the global commit timestamp — the one timestamp every
-// shard published at — or 0 if the run aborted. Valid after Wait.
-func (h *ShardedJobHandle) CommitTS() Timestamp {
-	<-h.done
-	return h.ts
-}
-
-// Cancel asks every shard's job to stop; the distributed uber-transaction
-// aborts on all shards, nothing becomes visible anywhere, and no further
-// retry attempts are made.
-func (h *ShardedJobHandle) Cancel() { h.cancelOnce.Do(func() { close(h.cancelCh) }) }
-
-// Attempts returns how many times the run has been submitted so far.
-func (h *ShardedJobHandle) Attempts() int { return int(h.attempts.Load()) }
-
-// Done returns a channel closed when the run fully resolved.
-func (h *ShardedJobHandle) Done() <-chan struct{} { return h.done }
+// shard published at: zero until the run resolved, and zero forever if it
+// aborted or was never acknowledged.
+func (h *ShardedJobHandle) CommitTS() Timestamp { return h.commitTS() }
 
 // ShardObservers returns the per-shard observers (index = shard id), or
 // nil when the run was submitted without MLRun.Observer. Shard 0's is the
@@ -586,50 +465,139 @@ func (h *ShardedJobHandle) ShardSnapshots() []TelemetrySnapshot {
 // per-shard barriers are tied into one global rendezvous, so "reads see
 // exactly the previous iteration" holds across shards too.
 func (db *ShardedDB) SubmitML(ctx context.Context, run MLRun) (*ShardedJobHandle, error) {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return nil, ErrClosed
+	if err := db.admit(ctx, run.Observer); err != nil {
+		return nil, err
 	}
-	db.handles.Add(1)
-	db.mu.Unlock()
-
-	if err := db.gate.Acquire(ctx, db.admitWait); err != nil {
-		db.handles.Done()
-		if run.Observer != nil && err == resilience.ErrOverloaded {
-			run.Observer.Inc(0, obs.LoadSheds)
+	set := db.settings(run)
+	uber, views, observers, err := db.uberRun(run, set)
+	if err != nil {
+		db.release()
+		return nil, err
+	}
+	submit := func() (*shard.Handle, error) {
+		inner, err := db.co.Submit(uber)
+		if errors.Is(err, shard.ErrClosed) || errors.Is(err, exec.ErrPoolClosed) {
+			err = ErrClosed
 		}
+		return inner, err
+	}
+	inner, err := submit()
+	if err != nil {
+		db.release()
 		return nil, err
 	}
-	fail := func(err error) (*ShardedJobHandle, error) {
-		db.gate.Release()
-		db.handles.Done()
-		return nil, err
+	for s, o := range observers {
+		db.agg.Shard(s).Attach(o)
 	}
 
-	if run.Workers > 0 || run.Regions > 0 {
-		return fail(fmt.Errorf("db4ml: per-run private pools (MLRun.Workers/Regions) are not supported on a sharded database"))
+	h := &ShardedJobHandle{observers: observers}
+	h.init(ctx)
+	h.inner.Store(inner)
+	db.runs.track(&h.handleCore, func(state string) []introspect.JobInfo {
+		// One row per (job, shard) so per-shard progress of one distributed
+		// run reads side by side; all rows share its correlation id.
+		inner := h.inner.Load()
+		var rows []introspect.JobInfo
+		for s := 0; s < db.cluster.Shards(); s++ {
+			j := inner.ShardJob(s)
+			if j == nil {
+				continue
+			}
+			info := introspect.NewJobInfo(inner.TraceID(), j.Label(), state,
+				h.Attempts(), j.Live(), j.Total(), j.Started(), set.deadline)
+			sh := s
+			info.Shard = &sh
+			rows = append(rows, info)
+		}
+		return rows
+	})
+	var o0 *Observer
+	if observers != nil {
+		o0 = observers[0]
 	}
+	tracer := run.Tracer
+	if tracer == nil {
+		tracer = db.coTracer
+	}
+	go db.supervise(&h.handleCore, attempt{
+		policy: set.policy,
+		token:  inner.TraceID(),
+		obs:    o0,
+		tracer: tracer,
+		try: func() (bool, error) {
+			inner := h.inner.Load()
+			select {
+			case <-h.ctx.Done():
+				inner.Cancel()
+			case <-inner.Done():
+			}
+			stats, ts, err := inner.Wait()
+			h.stats = stats
+			if errors.Is(err, chaos.ErrCrashed) {
+				// A coordinator kill-point fired: the "process" is dead.
+				// Freeze the WAL and resolve terminally — recovery, not
+				// retry, is what follows a crash.
+				db.dur.freeze()
+				return false, err
+			}
+			if err != nil {
+				return inner.Quiesced(), err
+			}
+			if db.dur != nil {
+				if err := db.dur.appendCommit(ts, views, inner.TraceID()); err != nil {
+					// Durably uncertain commits are never acknowledged.
+					return false, err
+				}
+			}
+			h.ts = ts
+			return false, nil
+		},
+		resubmit: func() (uint64, error) {
+			next, err := submit()
+			if err != nil {
+				return 0, err
+			}
+			h.inner.Store(next)
+			return next.TraceID(), nil
+		},
+		settle: func() {
+			db.runs.settle(&h.handleCore)
+			for s, o := range observers {
+				db.agg.Shard(s).Complete(o)
+			}
+		},
+	})
+	return h, nil
+}
+
+// uberRun plans run across the cluster: every attachment resolved to its
+// sharded table and split into per-shard locals, the sub-transactions
+// grouped by placement, and one job configuration per shard. It also
+// returns the distinct view tables the commit is logged from (their chains
+// are the locals' chains, so after-images read identically) and the
+// per-shard observers, nil when the run is uninstrumented.
+func (db *ShardedDB) uberRun(run MLRun, set settings) (shard.UberRun, []*Table, []*Observer, error) {
 	if len(run.Attach) == 0 {
-		return fail(fmt.Errorf("db4ml: a sharded ML run must attach at least one table"))
+		return shard.UberRun{}, nil, nil, fmt.Errorf("db4ml: a sharded ML run must attach at least one table")
 	}
-
 	n := db.cluster.Shards()
 
-	// Resolve every attachment to its sharded table and split its row sets
-	// into per-shard locals. Every shard attaches (and votes in the
-	// two-phase commit) even when it runs no sub-transactions.
-	sharded := make([]*ShardedTable, len(run.Attach))
+	// Every shard attaches (and votes in the two-phase commit) even when it
+	// runs no sub-transactions.
+	var primary *ShardedTable
 	attach := make([][]shard.Attachment, n)
+	views := make([]*Table, 0, len(run.Attach))
 	for ai, a := range run.Attach {
 		st, err := db.shardedOf(a.Table)
 		if err != nil {
-			return fail(err)
+			return shard.UberRun{}, nil, nil, err
 		}
-		sharded[ai] = st
+		if ai == 0 {
+			primary = st
+		}
 		locals, err := st.LocalRows(a.Rows)
 		if err != nil {
-			return fail(err)
+			return shard.UberRun{}, nil, nil, err
 		}
 		for s := 0; s < n; s++ {
 			attach[s] = append(attach[s], shard.Attachment{
@@ -638,10 +606,12 @@ func (db *ShardedDB) SubmitML(ctx context.Context, run MLRun) (*ShardedJobHandle
 				Versions: a.Versions,
 			})
 		}
+		if !slices.Contains(views, st.View()) {
+			views = append(views, st.View())
+		}
 	}
 
 	// Placement: group the sub-transactions by shard.
-	primary := sharded[0]
 	shardOf := run.ShardOf
 	if shardOf == nil {
 		shardOf = func(i int) int { return primary.ShardOf(RowID(i)) }
@@ -650,32 +620,11 @@ func (db *ShardedDB) SubmitML(ctx context.Context, run MLRun) (*ShardedJobHandle
 	for i, sub := range run.Subs {
 		s := shardOf(i)
 		if s < 0 || s >= n {
-			return fail(fmt.Errorf("db4ml: sub-transaction %d routed to shard %d of %d (is the first attached table loaded?)", i, s, n))
+			return shard.UberRun{}, nil, nil, fmt.Errorf("db4ml: sub-transaction %d routed to shard %d of %d (is the first attached table loaded?)", i, s, n)
 		}
 		subs[s] = append(subs[s], sub)
 	}
 
-	// Per-shard job configuration: resolved exactly like the single-kernel
-	// path, with per-shard labels and observers.
-	deadline := run.Deadline
-	if deadline <= 0 {
-		deadline = db.deadline
-	}
-	stall := run.StallTimeout
-	if stall <= 0 {
-		stall = db.stall
-	}
-	policy := db.retry
-	if run.Retry != nil {
-		policy = *run.Retry
-	}
-	batch := run.BatchSize
-	if db.degrade != nil {
-		if batch <= 0 {
-			batch = exec.DefaultBatchSize
-		}
-		batch = db.degrade(db.gate.Pressure(), batch)
-	}
 	var observers []*Observer
 	if run.Observer != nil || db.agg != nil {
 		observers = make([]*Observer, n)
@@ -689,11 +638,6 @@ func (db *ShardedDB) SubmitML(ctx context.Context, run MLRun) (*ShardedJobHandle
 			observers[s] = obs.New()
 		}
 	}
-	if db.agg != nil {
-		for s, o := range observers {
-			db.agg.Shard(s).Attach(o)
-		}
-	}
 	if run.Tracer != nil {
 		// Coordinator-level spans (the global commit instant) go to the
 		// first tracer any run brings; per-shard engine spans go to each
@@ -703,162 +647,27 @@ func (db *ShardedDB) SubmitML(ctx context.Context, run MLRun) (*ShardedJobHandle
 
 	plans := make([]shard.Plan, n)
 	for s := 0; s < n; s++ {
-		label := run.Label
-		if label != "" {
-			label = fmt.Sprintf("%s@s%d", run.Label, s)
+		cfg := set.jobConfig(run)
+		if run.Label != "" {
+			cfg.Label = fmt.Sprintf("%s@s%d", run.Label, s)
 		}
-		tracer := run.Tracer
-		if tracer == nil && db.shardTracers != nil {
+		if cfg.Tracer == nil && db.shardTracers != nil {
 			// Each shard's engine spans land on that shard's own ring, so
 			// the merged /debug/trace shows them as separate processes.
-			tracer = db.shardTracers[s]
-		}
-		cfg := exec.JobConfig{
-			BatchSize:        batch,
-			MaxIterations:    run.MaxIterations,
-			Deadline:         deadline,
-			StallTimeout:     stall,
-			RegionOf:         run.RegionOf,
-			IterationHook:    run.IterationHook,
-			ConvergeTogether: run.ConvergeTogether,
-			Tracer:           tracer,
-			Label:            label,
-			Chaos:            run.Chaos,
-			Recorder:         run.Recorder,
+			cfg.Tracer = db.shardTracers[s]
 		}
 		if observers != nil {
 			cfg.Observer = observers[s]
 		}
 		plans[s] = shard.Plan{Attach: attach[s], Subs: subs[s], Config: cfg}
 	}
-
-	uber := shard.UberRun{
+	return shard.UberRun{
 		Isolation: run.Isolation,
 		Plans:     plans,
 		// The synchronous level's contract is global: no shard may enter a
 		// round before every shard finished the previous one.
 		GlobalBarrier: run.Isolation.Level == Synchronous,
-	}
-	inner, err := db.co.Submit(uber)
-	if err != nil {
-		if errors.Is(err, shard.ErrClosed) || errors.Is(err, exec.ErrPoolClosed) {
-			err = ErrClosed
-		}
-		return fail(err)
-	}
-
-	h := &ShardedJobHandle{
-		done:      make(chan struct{}),
-		cancelCh:  make(chan struct{}),
-		observers: observers,
-	}
-	h.inner.Store(inner)
-	h.attempts.Store(1)
-	if db.debug != nil {
-		db.jobsMu.Lock()
-		db.liveJobs[h] = jobMeta{deadline: deadline}
-		db.jobsMu.Unlock()
-	}
-	// The supervisor logs commits from the global views (their chains are
-	// the locals' chains, so after-images read identically), deduplicated
-	// here since attachments may repeat a table.
-	views := make([]*Table, 0, len(sharded))
-	for _, st := range sharded {
-		dup := false
-		for _, v := range views {
-			if v == st.View() {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			views = append(views, st.View())
-		}
-	}
-	go db.superviseSharded(ctx, h, uber, policy, views, deadline)
-	return h, nil
-}
-
-// superviseSharded drives one distributed handle to resolution: wait on
-// the coordinator's handle, retry per policy on retryable failures (the
-// coordinator aborted the failed attempt on every shard, so resubmission
-// re-begins from scratch), resolve terminally otherwise.
-func (db *ShardedDB) superviseSharded(ctx context.Context, h *ShardedJobHandle,
-	uber shard.UberRun, policy RetryPolicy, views []*Table, deadline time.Duration) {
-	defer db.handles.Done()
-	defer db.gate.Release()
-	if db.agg != nil {
-		defer func() {
-			for s, o := range h.observers {
-				db.agg.Shard(s).Complete(o)
-			}
-		}()
-	}
-	defer db.settleJob(h, deadline)
-	defer close(h.done)
-
-	token := db.runID.Add(1)
-	for attempt := 1; ; attempt++ {
-		inner := h.inner.Load()
-		select {
-		case <-ctx.Done():
-			inner.Cancel()
-		case <-h.cancelCh:
-			inner.Cancel()
-		case <-inner.Done():
-		}
-		stats, ts, err := inner.Wait()
-		h.stats = stats
-		if err == nil {
-			if db.dur != nil {
-				if werr := db.dur.appendCommit(ts, views, inner.TraceID()); werr != nil {
-					// Durably uncertain commits are never acknowledged.
-					h.err = werr
-					return
-				}
-			}
-			h.ts = ts
-			return
-		}
-		if errors.Is(err, chaos.ErrCrashed) {
-			// A coordinator kill-point fired: the "process" is dead.
-			// Freeze the WAL and resolve terminally — recovery, not retry,
-			// is what follows a crash.
-			db.dur.freeze()
-			h.err = err
-			return
-		}
-		if errors.Is(err, exec.ErrJobCancelled) && ctx.Err() != nil {
-			err = ctx.Err()
-		}
-		delay, retry := policy.ShouldRetryFor(token, err, attempt)
-		if !retry || ctx.Err() != nil || cancelled(h.cancelCh) {
-			h.err = err
-			return
-		}
-		timer := time.NewTimer(delay)
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			timer.Stop()
-			h.err = ctx.Err()
-			return
-		case <-h.cancelCh:
-			timer.Stop()
-			h.err = err
-			return
-		}
-		next, serr := db.co.Submit(uber)
-		if serr != nil {
-			if errors.Is(serr, shard.ErrClosed) || errors.Is(serr, exec.ErrPoolClosed) {
-				serr = ErrClosed
-			}
-			h.err = serr
-			return
-		}
-		h.inner.Store(next)
-		h.attempts.Store(int32(attempt + 1))
-	}
+	}, views, observers, nil
 }
 
 // RunML executes one ML algorithm as a distributed uber-transaction and
@@ -911,51 +720,39 @@ func (db *ShardedDB) rebindScan(tbl *table.Table, s int) *table.Table {
 // fragment runs at that shard's own pinned snapshot over only the rows it
 // owns — and aggregates, sorts, and limits gather over the concatenated
 // fragment results. Joins, iterate nodes, and RowRange predicates cannot
-// run sharded and fail at submission. Supervision matches the single-
-// kernel path: the same admission gate, default deadline, and retry
-// policy. Per-operator stats are not reported for scattered queries
+// run sharded and fail at submission, before admission. Supervision is the
+// single-kernel path's: the same admission gate, default deadline, and
+// retry policy. Per-operator stats are not reported for scattered queries
 // (QueryHandle.Stats returns nil).
 func (db *ShardedDB) SubmitQuery(ctx context.Context, run QueryRun) (*QueryHandle, error) {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return nil, ErrClosed
-	}
-	db.handles.Add(1)
-	db.mu.Unlock()
-
-	if err := db.gate.Acquire(ctx, db.admitWait); err != nil {
-		db.handles.Done()
-		if run.Observer != nil && err == resilience.ErrOverloaded {
-			run.Observer.Inc(0, obs.LoadSheds)
-		}
+	if err := plan.CheckScatter(run.Plan); err != nil {
 		return nil, err
 	}
-
-	deadline := run.Deadline
-	if deadline <= 0 {
-		deadline = db.deadline
-	}
-	policy := db.retry
-	if run.Retry != nil {
-		policy = *run.Retry
+	if err := db.admit(ctx, run.Observer); err != nil {
+		return nil, err
 	}
 	envs := db.shardEnvs(run)
-	if db.agg != nil {
-		qobs := run.Observer
-		if qobs == nil {
-			qobs = obs.New()
-		}
-		// One observer serves every shard's fragment; it lives on shard 0's
-		// aggregator (the fragments' counters are a cluster-wide account).
+	// One observer serves every shard's fragment; it lives on shard 0's
+	// aggregator (the fragments' counters are a cluster-wide account).
+	agg := db.agg.Shard(0)
+	if agg != nil && run.Observer == nil {
+		qobs := obs.New()
 		for i := range envs {
 			envs[i].Obs = qobs
 		}
-		db.agg.Shard(0).Attach(qobs)
 	}
-
-	h := &QueryHandle{done: make(chan struct{}), cancelCh: make(chan struct{})}
-	go db.superviseShardedQuery(ctx, h, run.Plan, envs, deadline, policy)
+	agg.Attach(envs[0].Obs)
+	h := &QueryHandle{}
+	h.init(ctx)
+	// Scattered execution has no single root cursor, so the handle carries
+	// the planner's EXPLAIN tree instead of a measured ANALYZE one.
+	if expl, err := plan.Explain(run.Plan, envs[0]); err == nil {
+		h.explain = expl
+	}
+	db.superviseQuery(h, run, envs[0], agg, func(ctx context.Context) (err error) {
+		h.result, err = plan.ScatterGather(ctx, run.Plan, envs, db.rebindScan)
+		return err
+	})
 	return h, nil
 }
 
@@ -964,97 +761,6 @@ func (db *ShardedDB) SubmitQuery(ctx context.Context, run QueryRun) (*QueryHandl
 // pushdown and pre-sizing decisions, no execution).
 func (db *ShardedDB) ExplainQuery(p *Plan) (*ExplainNode, error) {
 	return plan.Explain(p, db.shardEnvs(QueryRun{})[0])
-}
-
-// superviseShardedQuery drives one scattered query to resolution with the
-// same deadline/cancel/retry vocabulary as the single-kernel query path.
-func (db *ShardedDB) superviseShardedQuery(ctx context.Context, h *QueryHandle,
-	p *Plan, envs []plan.Env, deadline time.Duration, policy RetryPolicy) {
-	defer db.handles.Done()
-	defer db.gate.Release()
-	if db.agg != nil {
-		defer db.agg.Shard(0).Complete(envs[0].Obs)
-	}
-	started := time.Now()
-	// Scattered execution has no single root cursor, so the handle carries
-	// the planner's EXPLAIN tree instead of a measured ANALYZE one.
-	if expl, err := plan.Explain(p, envs[0]); err == nil {
-		h.explain = expl
-	}
-	defer func() {
-		rows := 0
-		if h.result != nil {
-			rows = len(h.result.Rows)
-		}
-		state := "done"
-		if h.err != nil {
-			state = "failed: " + h.err.Error()
-		}
-		info := introspect.QueryInfo{
-			ID: envs[0].Job, State: state, Rows: rows,
-			Attempts:      int(h.attempts.Load()),
-			ElapsedMillis: time.Since(started).Milliseconds(),
-		}
-		if h.explain != nil {
-			info.Explain = h.explain.Render()
-		}
-		db.recordQuery(info)
-	}()
-	defer close(h.done)
-
-	token := envs[0].Job
-	for attempt := 1; ; attempt++ {
-		h.attempts.Store(int32(attempt))
-		var qctx context.Context
-		var cancel context.CancelFunc
-		if deadline > 0 {
-			qctx, cancel = context.WithTimeout(ctx, deadline)
-		} else {
-			qctx, cancel = context.WithCancel(ctx)
-		}
-		watcherDone := make(chan struct{})
-		go func() {
-			select {
-			case <-h.cancelCh:
-				cancel()
-			case <-watcherDone:
-			}
-		}()
-		rel, err := plan.ScatterGather(qctx, p, envs, db.rebindScan)
-		close(watcherDone)
-		cancel()
-		switch {
-		case err == nil:
-			h.result = rel
-			return
-		case cancelled(h.cancelCh):
-			h.err = ErrJobCancelled
-			return
-		case ctx.Err() != nil:
-			h.err = ctx.Err()
-			return
-		case errors.Is(err, context.DeadlineExceeded):
-			h.err = ErrJobDeadline
-			return
-		}
-		delay, retry := policy.ShouldRetryFor(token, err, attempt)
-		if !retry {
-			h.err = err
-			return
-		}
-		timer := time.NewTimer(delay)
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			timer.Stop()
-			h.err = ctx.Err()
-			return
-		case <-h.cancelCh:
-			timer.Stop()
-			h.err = err
-			return
-		}
-	}
 }
 
 // RunQuery executes one distributed query and blocks until its

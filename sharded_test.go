@@ -2,9 +2,11 @@ package db4ml
 
 import (
 	"context"
+	"errors"
 	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"db4ml/internal/graph"
 	"db4ml/internal/metrics"
@@ -144,14 +146,27 @@ func TestShardedRunMLDegenerateErrors(t *testing.T) {
 	}); err == nil {
 		t.Fatal("out-of-range placement accepted")
 	}
-	// The gate slot was released by each failure: a well-formed run under
-	// WithMaxInflight(1) still gets in.
+	// Plans that cannot scatter are refused by SubmitQuery itself, not by
+	// Wait: no handle, no admission slot.
+	for name, p := range map[string]*Plan{
+		"join":     Join(Scan(tbl), Scan(tbl), "ID", "ID"),
+		"rowrange": Filter(Scan(tbl), RowRange(0, 2)),
+	} {
+		if h, err := db.SubmitQuery(context.Background(), QueryRun{Plan: p, Retry: &RetryPolicy{MaxAttempts: 3}}); err == nil || h != nil {
+			t.Fatalf("un-scatterable %s query accepted at submission (handle %v, err %v)", name, h, err)
+		}
+	}
+	// The gate slot was released by each failure: a well-formed run and a
+	// well-formed query under WithMaxInflight(1) still get in.
 	if _, err := db.RunML(MLRun{
 		Isolation: MLOptions{Level: Asynchronous},
 		Attach:    []Attachment{{Table: tbl}},
 		Subs:      []IterativeTransaction{&incSub{tbl: tbl, row: 0, target: 1}},
 	}); err != nil {
 		t.Fatalf("well-formed run rejected after failed submissions: %v", err)
+	}
+	if _, err := db.RunQuery(context.Background(), QueryRun{Plan: Scan(tbl)}); err != nil {
+		t.Fatalf("well-formed query rejected after failed submissions: %v", err)
 	}
 }
 
@@ -512,7 +527,7 @@ func TestShardedQueryEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Rejections: a join cannot scatter; the error reaches Wait.
+	// Rejections: a join cannot scatter.
 	if _, err := db.RunQuery(context.Background(), QueryRun{
 		Plan:  Join(Scan(tbl), Scan(tbl), "ID", "ID"),
 		Retry: &RetryPolicy{},
@@ -588,4 +603,162 @@ func TestShardedCloseRejectsAndDrains(t *testing.T) {
 	if _, err := db.RunQuery(context.Background(), QueryRun{Plan: Scan(tbl)}); err != ErrClosed {
 		t.Fatalf("post-Close RunQuery error = %v, want ErrClosed", err)
 	}
+}
+
+// readShardedCounters reads every counter row through one cross-shard
+// snapshot.
+func readShardedCounters(t *testing.T, db *ShardedDB, tbl *Table, n int) []float64 {
+	t.Helper()
+	tx := db.Begin()
+	defer tx.Close()
+	out := make([]float64, n)
+	for i := range out {
+		p, ok := tx.Read(tbl, RowID(i))
+		if !ok {
+			t.Fatalf("row %d unreadable", i)
+		}
+		out[i] = p.Float64(1)
+	}
+	return out
+}
+
+// TestShardedRetryAfterPanic is TestRetrySucceedsAfterPanic on two shards:
+// a one-shot planted panic aborts the first distributed attempt on every
+// shard, the retry commits the fault-free result, and the resubmission is
+// counted once on the shard-0 observer.
+func TestShardedRetryAfterPanic(t *testing.T) {
+	const n, target = 16, 6.0
+	db, tbl := openShardedCounters(t, 2, n)
+	defer db.Close()
+
+	subs, budget := flakySubs(tbl, n, target, 1)
+	o := NewObserver()
+	h, err := db.SubmitML(context.Background(), MLRun{
+		Isolation: MLOptions{Level: Asynchronous},
+		BatchSize: 4,
+		Attach:    []Attachment{{Table: tbl}},
+		Subs:      subs,
+		Observer:  o,
+		Retry:     &RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, Seed: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, werr := h.Wait(); werr != nil {
+		t.Fatalf("retried distributed run failed: %v", werr)
+	}
+	if got := h.Attempts(); got != 2 {
+		t.Fatalf("Attempts = %d, want 2", got)
+	}
+	if budget.Load() > 0 {
+		t.Fatal("planted panic never fired")
+	}
+	for i, v := range readShardedCounters(t, db, tbl, n) {
+		if v != target {
+			t.Fatalf("row %d = %v, want %v", i, v, target)
+		}
+	}
+	if h.ShardObservers()[0] != o {
+		t.Fatal("shard 0's observer is not the caller's")
+	}
+	if snap := o.Snapshot(); snap.Counters.Retries != 1 || snap.Cumulative.Retries != 1 {
+		t.Fatalf("shard-0 telemetry Retries = %d (cumulative %d), want 1",
+			snap.Counters.Retries, snap.Cumulative.Retries)
+	}
+}
+
+// loopShardedRun submits a never-converging distributed run over tbl's n
+// rows and waits until it has committed an iteration.
+func loopShardedRun(t *testing.T, ctx context.Context, db *ShardedDB, tbl *Table, n int) *ShardedJobHandle {
+	t.Helper()
+	subs := make([]IterativeTransaction, n)
+	for i := range subs {
+		subs[i] = &loopSub{tbl: tbl, row: RowID(i)}
+	}
+	h, err := db.SubmitML(ctx, MLRun{
+		Isolation: MLOptions{Level: Asynchronous},
+		BatchSize: 1,
+		Attach:    []Attachment{{Table: tbl}},
+		Subs:      subs,
+		Retry:     &RetryPolicy{MaxAttempts: 3, RetryIf: func(error) bool { return true }},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for h.inner.Load().ShardJob(0).Stats().Commits == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	return h
+}
+
+// TestShardedCancel: Cancel aborts the distributed run on every shard —
+// ErrJobCancelled, one attempt even under a retry-everything policy, and
+// the tables untouched.
+func TestShardedCancel(t *testing.T) {
+	const n = 8
+	db, tbl := openShardedCounters(t, 2, n)
+	defer db.Close()
+	h := loopShardedRun(t, context.Background(), db, tbl, n)
+	h.Cancel()
+	if _, err := h.Wait(); !errors.Is(err, ErrJobCancelled) {
+		t.Fatalf("Wait after Cancel = %v, want ErrJobCancelled", err)
+	}
+	if h.Attempts() != 1 || h.CommitTS() != 0 {
+		t.Fatalf("cancelled run: Attempts = %d, CommitTS = %d; want 1, 0", h.Attempts(), h.CommitTS())
+	}
+	for i, v := range readShardedCounters(t, db, tbl, n) {
+		if v != 0 {
+			t.Fatalf("cancelled run leaked writes: row %d = %v", i, v)
+		}
+	}
+}
+
+// TestShardedContextCancel: cancelling the submitter's ctx aborts the
+// distributed run everywhere and Wait reports the ctx's error.
+func TestShardedContextCancel(t *testing.T) {
+	const n = 8
+	db, tbl := openShardedCounters(t, 2, n)
+	defer db.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	h := loopShardedRun(t, ctx, db, tbl, n)
+	cancel()
+	if _, err := h.Wait(); err != context.Canceled {
+		t.Fatalf("Wait after ctx cancel = %v, want context.Canceled", err)
+	}
+	if h.Attempts() != 1 {
+		t.Fatalf("Attempts = %d, want 1", h.Attempts())
+	}
+	for i, v := range readShardedCounters(t, db, tbl, n) {
+		if v != 0 {
+			t.Fatalf("cancelled run leaked writes: row %d = %v", i, v)
+		}
+	}
+}
+
+// TestShardedWedgedForeverStallNotRetried is TestWedgedForeverStallNotRetried
+// on two 1-worker shards: a shard whose worker never acknowledges the stall
+// conviction must not have the same sub-transaction instances resubmitted
+// underneath it, so the run resolves with ErrJobStalled after one attempt.
+func TestShardedWedgedForeverStallNotRetried(t *testing.T) {
+	db, tbl := openShardedCounters(t, 2, 1, WithWorkers(1))
+	ws := &wedgeSub{release: make(chan struct{}), blocked: make(chan struct{})}
+	h, err := db.SubmitML(context.Background(), MLRun{
+		Isolation:    MLOptions{Level: Asynchronous},
+		Attach:       []Attachment{{Table: tbl}},
+		Subs:         []IterativeTransaction{ws},
+		StallTimeout: 60 * time.Millisecond,
+		Retry:        &RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-ws.blocked
+	if _, werr := h.Wait(); !errors.Is(werr, ErrJobStalled) {
+		t.Fatalf("Wait = %v, want ErrJobStalled", werr)
+	}
+	if got := h.Attempts(); got != 1 {
+		t.Fatalf("Attempts = %d, want 1 (no retry under a live wedge)", got)
+	}
+	close(ws.release)
+	db.Close()
 }
