@@ -386,38 +386,6 @@ func BenchmarkIterativeReadRelaxed(b *testing.B) {
 	}
 }
 
-func BenchmarkOLTPCommit(b *testing.B) {
-	db := db4ml.Open()
-	tbl, err := db.CreateTable("Account",
-		db4ml.Column{Name: "ID", Type: db4ml.Int64},
-		db4ml.Column{Name: "Balance", Type: db4ml.Float64})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rows := make([]db4ml.Payload, 1024)
-	for i := range rows {
-		p := tbl.Schema().NewPayload()
-		p.SetInt64(0, int64(i))
-		rows[i] = p
-	}
-	if err := db.BulkLoad(tbl, rows); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tx := db.Begin()
-		row := db4ml.RowID(i % 1024)
-		p, _ := tx.Read(tbl, row)
-		p.SetFloat64(1, p.Float64(1)+1)
-		if err := tx.Write(tbl, row, p); err != nil {
-			b.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func topo(regions, workers int) (t db4ml.Topology) {
 	t.Regions = regions
 	t.Workers = workers

@@ -10,14 +10,11 @@
 //	db4ml-bench -exp all -workers 16 -runs 5
 //	db4ml-bench -exp fig12 -quick
 //	db4ml-bench -exp fig9 -quick -telemetry
-//	db4ml-bench -exp concurrent -telemetry
-//	db4ml-bench -exp chaos -seeds 8
-//	db4ml-bench -explain
+//	db4ml-bench -exp fig9 -quick -http :6060
 //
 // With -telemetry, each instrumented job appends one labelled JSON
 // telemetry snapshot (per-worker counters, queue gauges, convergence
-// series) after its experiment's table; concurrent jobs get one snapshot
-// each, tagged with the job's label. An -exp all run executes every
+// series) after its experiment's table. An -exp all run executes every
 // experiment even when one fails and exits nonzero if any did.
 package main
 
@@ -40,14 +37,7 @@ func main() {
 	runs := flag.Int("runs", 0, "repetitions per timed configuration (default 3)")
 	quick := flag.Bool("quick", false, "shrink datasets and sweeps for a fast smoke run")
 	telemetry := flag.Bool("telemetry", false, "attach an engine observer to selected configurations and print one labelled telemetry snapshot (JSON) per job after each experiment")
-	seeds := flag.Int("seeds", 0, "fault schedules per isolation level for -exp chaos (default 8, 4 with -quick)")
-	deadline := flag.Duration("deadline", 0, "per-job wall-clock budget for -exp resilience (default 300ms, 200ms with -quick)")
-	retries := flag.Int("retries", 0, "whole-job retry budget after a failed attempt for -exp resilience (default 3)")
-	maxinflight := flag.Int("maxinflight", 0, "admitted concurrent ML jobs for -exp resilience (default 3)")
-	benchjson := flag.String("benchjson", "", "write the experiment's machine-readable result (currently -exp gc) to this JSON file, e.g. BENCH_GC.json")
 	httpAddr := flag.String("http", "", "serve the live debug endpoints on this address (e.g. :6060): /metrics (Prometheus), /debug/trace (Chrome trace_event JSON for Perfetto/about:tracing), /debug/pprof; the process keeps serving after the experiments until interrupted")
-	explain := flag.Bool("explain", false, "shorthand for -exp explain: print EXPLAIN and EXPLAIN ANALYZE for the star query and verify the planner's promises against measured execution")
-	shards := flag.Int("shards", 0, "with -http: serve the cluster-wide debug surface from a live N-shard database running a demo workload (merged /debug/trace, /debug/shards, /debug/query) instead of the single-kernel experiment plumbing")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
 
@@ -57,35 +47,16 @@ func main() {
 		}
 		return
 	}
-	if *explain && *exp == "" {
-		*exp = "explain"
-	}
-	if *shards > 0 {
-		if *httpAddr == "" {
-			fmt.Fprintln(os.Stderr, "db4ml-bench: -shards requires -http")
-			os.Exit(2)
-		}
-		if err := serveSharded(*shards, *httpAddr); err != nil {
-			fmt.Fprintln(os.Stderr, "db4ml-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *exp == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
 	opts := experiments.Options{
-		Out:         os.Stdout,
-		MaxWorkers:  *workers,
-		Runs:        *runs,
-		Quick:       *quick,
-		Telemetry:   *telemetry,
-		Seeds:       *seeds,
-		Deadline:    *deadline,
-		Retries:     *retries,
-		MaxInflight: *maxinflight,
-		BenchFile:   *benchjson,
+		Out:        os.Stdout,
+		MaxWorkers: *workers,
+		Runs:       *runs,
+		Quick:      *quick,
+		Telemetry:  *telemetry,
 	}
 
 	var srv *introspect.Server

@@ -8,7 +8,14 @@ import (
 	"testing"
 	"time"
 
+	"db4ml/internal/exec"
+	"db4ml/internal/graph"
+	"db4ml/internal/isolation"
+	"db4ml/internal/ml/pagerank"
+	"db4ml/internal/ml/sgd"
 	"db4ml/internal/oltpbench"
+	"db4ml/internal/svm"
+	"db4ml/internal/txn"
 )
 
 func loadCounters(t *testing.T, db *DB, name string, n int) *Table {
@@ -307,6 +314,105 @@ func TestDBCloseRacesSubmitAndCancel(t *testing.T) {
 			if v := p.Float64(1); v != 0 && v != target {
 				t.Fatalf("table %d-%d in non-terminal state %v (want 0 or %v)", s, j, v, target)
 			}
+		}
+	}
+}
+
+// TestConcurrentJobsMatchSequentialStats: one pool, started once, runs an
+// async PageRank job and a bounded-staleness SGD job back to back and then
+// concurrently. Both modes must hold the same per-job invariants: every
+// execution either committed or rolled back, SGD's fixed epoch budget
+// commits exactly as many iterations as the sequential run with no forced
+// stops, and every PageRank node committed at least once and at most once
+// per iteration, so no job starved. Commit counts of two free-running
+// async schedules are not compared.
+func TestConcurrentJobsMatchSequentialStats(t *testing.T) {
+	wikivote, err := graph.ByName("wikivote")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := wikivote.Generate(8)
+	covtype, err := svm.SGDByName("covtype")
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, _, features := covtype.Generate(512)
+	const prIters, epochs = 5, 3
+
+	pool, err := exec.NewPool(exec.Config{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	mgr := txn.NewManager()
+
+	runPR := func() exec.Stats {
+		node, edge, err := pagerank.LoadTables(mgr, g)
+		if err != nil {
+			t.Error(err)
+			return exec.Stats{}
+		}
+		res, err := pagerank.Run(mgr, node, edge, pagerank.Config{
+			Pool:      pool,
+			Exec:      exec.Config{MaxIterations: prIters},
+			Isolation: isolation.Options{Level: isolation.Asynchronous},
+		})
+		if err != nil {
+			t.Error(err)
+			return exec.Stats{}
+		}
+		return res.Stats
+	}
+	runSGD := func() exec.Stats {
+		tables, err := sgd.LoadTables(mgr, train, features, 1)
+		if err != nil {
+			t.Error(err)
+			return exec.Stats{}
+		}
+		res, err := sgd.Run(mgr, tables, sgd.Config{
+			Pool:      pool,
+			Isolation: &isolation.Options{Level: isolation.BoundedStaleness, Staleness: 64},
+			Epochs:    epochs, Lambda: covtype.Lambda, Seed: 1,
+		})
+		if err != nil {
+			t.Error(err)
+			return exec.Stats{}
+		}
+		return res.Stats
+	}
+
+	seqPR := runPR()
+	seqSGD := runSGD()
+
+	var conPR, conSGD exec.Stats
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); conPR = runPR() }()
+	go func() { defer wg.Done(); conSGD = runSGD() }()
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	nodes := uint64(g.NumNodes())
+	for _, c := range []struct {
+		name string
+		st   exec.Stats
+	}{{"sequential pagerank", seqPR}, {"sequential sgd", seqSGD}, {"concurrent pagerank", conPR}, {"concurrent sgd", conSGD}} {
+		if c.st.Executions != c.st.Commits+c.st.Rollbacks {
+			t.Errorf("%s: executions %d != commits %d + rollbacks %d",
+				c.name, c.st.Executions, c.st.Commits, c.st.Rollbacks)
+		}
+	}
+	if conSGD.Commits != seqSGD.Commits {
+		t.Errorf("sgd commits: concurrent %d != sequential %d", conSGD.Commits, seqSGD.Commits)
+	}
+	if seqSGD.ForcedStops != 0 || conSGD.ForcedStops != 0 {
+		t.Errorf("sgd forced stops: seq %d con %d", seqSGD.ForcedStops, conSGD.ForcedStops)
+	}
+	for _, st := range []exec.Stats{seqPR, conPR} {
+		if st.Commits < nodes || st.Commits > nodes*prIters {
+			t.Errorf("pagerank commits %d outside [%d, %d]", st.Commits, nodes, nodes*prIters)
 		}
 	}
 }

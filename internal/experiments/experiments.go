@@ -42,18 +42,6 @@ type Options struct {
 	// table. Off by default: a nil observer keeps the engine's hot paths
 	// untouched.
 	Telemetry bool
-	// Seeds is how many fault schedules the chaos experiment replays per
-	// isolation level; defaults to 8 (4 under Quick).
-	Seeds int
-	// Deadline is the per-job wall-clock budget the resilience experiment
-	// applies (db4ml-bench -deadline); 0 uses the experiment's default.
-	Deadline time.Duration
-	// Retries is the resilience experiment's whole-job retry budget after
-	// a failed attempt (db4ml-bench -retries); 0 uses the default.
-	Retries int
-	// MaxInflight bounds the resilience experiment's concurrently admitted
-	// jobs (db4ml-bench -maxinflight); 0 uses the default.
-	MaxInflight int
 	// Tracer, when non-nil, records every instrumented configuration's
 	// scheduling timeline into its ring buffers (db4ml-bench -http serves
 	// it at /debug/trace).
@@ -62,11 +50,6 @@ type Options struct {
 	// into a process-wide view (db4ml-bench -http serves it at /metrics).
 	// Setting it attaches observers even with Telemetry off.
 	Aggregator *introspect.Aggregator
-	// BenchFile, when non-empty, is where experiments with a
-	// machine-readable trajectory (currently gc) write their JSON result —
-	// the repository's committed BENCH_*.json files (db4ml-bench
-	// -benchjson).
-	BenchFile string
 }
 
 func (o Options) withDefaults() Options {
@@ -84,13 +67,6 @@ func (o Options) withDefaults() Options {
 			o.Runs = 1
 		} else {
 			o.Runs = 3
-		}
-	}
-	if o.Seeds <= 0 {
-		if o.Quick {
-			o.Seeds = 4
-		} else {
-			o.Seeds = 8
 		}
 	}
 	return o
@@ -136,8 +112,8 @@ func (o Options) observe(cfg *exec.Config, label string) func() {
 }
 
 // summaryLine condenses one run's snapshot into the single line db4ml-bench
-// appends per instrumented configuration, so BENCH_*.json trajectories
-// capture latency distributions rather than wall-clock alone.
+// appends per instrumented configuration, so a run's output captures
+// latency distributions rather than wall-clock alone.
 func summaryLine(snap obs.Snapshot) string {
 	a := snap.Latencies.Attempt
 	c := snap.Cumulative

@@ -10,7 +10,7 @@ func quickOpts(buf *strings.Builder) Options {
 }
 
 func TestRegistryCoversEveryPaperExperiment(t *testing.T) {
-	want := []string{"fig1", "tab1", "fig8", "fig9", "fig10a", "fig10b", "fig11", "tab2", "fig12", "fig13", "fig14", "locality", "mixed", "concurrent", "chaos", "resilience", "gc", "plan", "shard", "recovery", "explain"}
+	want := []string{"fig1", "tab1", "fig8", "fig9", "fig10a", "fig10b", "fig11", "tab2", "fig12", "fig13", "fig14", "locality"}
 	got := IDs()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(got), len(want))
@@ -220,86 +220,6 @@ func TestOptionsDefaults(t *testing.T) {
 	for i := range want {
 		if sweep[i] != want[i] {
 			t.Fatalf("sweep = %v", sweep)
-		}
-	}
-}
-
-func TestMixedQuick(t *testing.T) {
-	var buf strings.Builder
-	if err := Mixed(quickOpts(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"OLTP alone", "running DB4ML SGD", "throughput"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestConcurrentQuick(t *testing.T) {
-	var buf strings.Builder
-	if err := Concurrent(quickOpts(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"shared pool", "pagerank", "sgd", "sequential", "concurrent", "speedup"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestConcurrentTelemetryPerJob(t *testing.T) {
-	var buf strings.Builder
-	opts := quickOpts(&buf)
-	opts.Telemetry = true
-	if err := Concurrent(opts); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"-- telemetry: pagerank sequential --",
-		"-- telemetry: sgd sequential --",
-		"-- telemetry: pagerank concurrent --",
-		"-- telemetry: sgd concurrent --",
-		`"job": "pagerank concurrent"`,
-		`"job": "sgd concurrent"`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestChaosQuick(t *testing.T) {
-	var buf strings.Builder
-	if err := Chaos(quickOpts(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"Chaos sweep", "synchronous", "asynchronous", "bounded-staleness",
-		"injected faults", "0 contract violations",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestPlanQuick(t *testing.T) {
-	var buf strings.Builder
-	if err := Plan(quickOpts(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"materialized", "streamed", "streamed+pushdown",
-		"streamed+pushdown+presize", "vs materialized",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
 		}
 	}
 }

@@ -24,15 +24,6 @@ var registry = []struct {
 	{"fig13", Fig13, "SGD scalability and accuracy"},
 	{"fig14", Fig14, "SGD micro-architecture: cycles and L1 misses per sample"},
 	{"locality", Locality, "extra: NUMA locality by partitioning scheme"},
-	{"mixed", Mixed, "extra: OLTP throughput with and without a running ML uber-transaction"},
-	{"concurrent", Concurrent, "extra: concurrent ML jobs on one shared worker pool vs sequential"},
-	{"chaos", Chaos, "extra: seeded fault-injection sweep checked against the isolation contracts"},
-	{"resilience", Resilience, "extra: supervision under chaos — shed/retried/panicked/retired counts per burst trial"},
-	{"gc", GC, "extra: version-GC soak — retained versions across consecutive ML runs with and without the reclaimer"},
-	{"plan", Plan, "extra: declarative plan layer — materialized baseline vs streamed vs predicate pushdown vs hash pre-sizing"},
-	{"shard", Shard, "extra: shard-per-node scale-out — distributed uber-transaction throughput on 1/2/4-shard clusters"},
-	{"recovery", Recovery, "extra: durability — kill-point recovery matrix and group-commit throughput by fsync policy"},
-	{"explain", Explain, "extra: EXPLAIN / EXPLAIN ANALYZE — planner annotations vs measured per-operator execution"},
 }
 
 // Run executes the experiment with the given id, or every experiment when

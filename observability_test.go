@@ -445,6 +445,22 @@ func TestQueryExplainAnalyze(t *testing.T) {
 	if an.RowsOut != uint64(len(rel.Rows)) {
 		t.Fatalf("root rows=%d, relation rows=%d", an.RowsOut, len(rel.Rows))
 	}
+	// The pushdown is measured, not only promised: the scan itself emits
+	// just the rows that pass the filter.
+	var scanOut uint64
+	var walk func(n *ExplainNode)
+	walk = func(n *ExplainNode) {
+		if strings.HasPrefix(n.Op, "scan(Counter)") {
+			scanOut = n.RowsOut
+		}
+		for _, k := range n.Kids {
+			walk(k)
+		}
+	}
+	walk(an)
+	if scanOut != uint64(len(rel.Rows)) || scanOut >= n {
+		t.Fatalf("measured scan rows=%d, want the %d filtered rows of %d", scanOut, len(rel.Rows), n)
+	}
 	// The measured tree nests: root project has the filtered scan below.
 	if len(an.Kids) == 0 {
 		t.Fatalf("analyzed tree has no children:\n%s", rendered)

@@ -10,6 +10,7 @@ package db4ml
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -21,11 +22,11 @@ import (
 	"db4ml/internal/storage"
 )
 
-// flakySub is incSub with a shared budget of planted panics: while
-// panicsLeft > 0, Execute panics (and decrements); afterwards it counts its
-// row up to target like a healthy sub-transaction. Because a retry
-// resubmits the same sub instances, the budget spans attempts: a budget of
-// 1 makes exactly the first attempt fail.
+// flakySub is incSub with a budget of planted panics: while panicsLeft > 0,
+// Execute panics (and decrements); afterwards it counts its row up to
+// target like a healthy sub-transaction. Because a retry resubmits the same
+// sub instances, the budget spans attempts: a budget of k makes exactly the
+// first k attempts fail.
 type flakySub struct {
 	tbl        *Table
 	row        RowID
@@ -92,13 +93,17 @@ func (s *loopSub) Execute(ctx *Ctx) {
 }
 func (s *loopSub) Validate(ctx *Ctx) Action { return Commit }
 
+// flakySubs returns n counter subs of which only sub 0 draws on the panic
+// budget, so an attempt plants at most one panic: with a shared budget, two
+// workers could spend it within one attempt.
 func flakySubs(tbl *Table, n int, target float64, panics int64) ([]IterativeTransaction, *atomic.Int64) {
 	budget := &atomic.Int64{}
 	budget.Store(panics)
 	subs := make([]IterativeTransaction, n)
 	for i := range subs {
-		subs[i] = &flakySub{tbl: tbl, row: RowID(i), target: target, panicsLeft: budget}
+		subs[i] = &flakySub{tbl: tbl, row: RowID(i), target: target}
 	}
+	subs[0].(*flakySub).panicsLeft = budget
 	return subs, budget
 }
 
@@ -679,6 +684,93 @@ func TestChaosRetryMatchesControl(t *testing.T) {
 		for i := range got {
 			if got[i] != ref[i] {
 				t.Fatalf("seed %d: row %d = %v, control = %v", seed, i, got[i], ref[i])
+			}
+		}
+		if inj.Faults() == 0 {
+			t.Fatalf("seed %d: chaos injected nothing — trial vacuous", seed)
+		}
+		db.Close()
+	}
+}
+
+// TestResilienceBurstOracle drives the supervision layer the way an
+// overloaded deployment would: a burst of jobs against an
+// admission-controlled database under a seeded chaos schedule. Jobs cycle
+// healthy / flaky (one planted panic, recovered by abort-retry) / healthy /
+// spin (never converges, retired by the deadline); a shed submission is
+// re-offered until a slot frees. The uber-transaction contract is the
+// oracle: every healthy or flaky job commits exactly its target, and every
+// spin job fails with ErrJobDeadline leaving every row 0.
+func TestResilienceBurstOracle(t *testing.T) {
+	const jobs, rows, target = 8, 8, 8.0
+	for _, seed := range []int64{1, 2} {
+		inj := chaos.NewSeeded(seed, 8, chaos.DefaultConfig())
+		db := Open(
+			WithWorkers(4),
+			WithDeadline(200*time.Millisecond),
+			WithRetry(RetryPolicy{MaxAttempts: 4, BaseBackoff: 2 * time.Millisecond, Seed: seed}),
+			WithMaxInflight(3),
+			WithDegradation(nil), // default pressure→batch curve
+		)
+		tables := make([]*Table, jobs)
+		for i := range tables {
+			tables[i] = loadCounters(t, db, fmt.Sprintf("C%d", i), rows)
+		}
+
+		handles := make([]*JobHandle, jobs)
+		budgets := make([]*atomic.Int64, jobs)
+		for i := range handles {
+			var subs []IterativeTransaction
+			switch i % 4 {
+			case 1:
+				subs, budgets[i] = flakySubs(tables[i], rows, target, 1)
+			case 3:
+				subs = make([]IterativeTransaction, rows)
+				for r := range subs {
+					subs[r] = &loopSub{tbl: tables[i], row: RowID(r)}
+				}
+			default:
+				subs, _ = flakySubs(tables[i], rows, target, 0)
+			}
+			run := MLRun{
+				Isolation: MLOptions{Level: Asynchronous},
+				Label:     fmt.Sprintf("burst-%d", i),
+				BatchSize: 4,
+				Attach:    []Attachment{{Table: tables[i]}},
+				Subs:      subs,
+				Chaos:     inj,
+			}
+			for {
+				h, err := db.SubmitML(context.Background(), run)
+				if err == nil {
+					handles[i] = h
+					break
+				}
+				if !errors.Is(err, ErrOverloaded) {
+					t.Fatalf("seed %d job %d: SubmitML = %v", seed, i, err)
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+		}
+
+		for i, h := range handles {
+			_, err := h.Wait()
+			want := target
+			if i%4 == 3 {
+				if !errors.Is(err, ErrJobDeadline) {
+					t.Fatalf("seed %d spin job %d: Wait = %v, want ErrJobDeadline", seed, i, err)
+				}
+				want = 0
+			} else if err != nil {
+				t.Fatalf("seed %d job %d: Wait = %v, want commit", seed, i, err)
+			}
+			if budgets[i] != nil && budgets[i].Load() > 0 {
+				t.Fatalf("seed %d flaky job %d: planted panic never fired", seed, i)
+			}
+			for r, v := range readCounters(t, db, tables[i], rows) {
+				if v != want {
+					t.Fatalf("seed %d job %d row %d = %v, want %v", seed, i, r, v, want)
+				}
 			}
 		}
 		if inj.Faults() == 0 {

@@ -117,6 +117,17 @@ func TestShardedQuickstart(t *testing.T) {
 			t.Fatalf("row %d = (%v, %v), want %v", i, p, ok, target)
 		}
 	}
+	// The scatter-gather query path agrees: every row passes the at-target
+	// filter.
+	rel, err := db.RunQuery(context.Background(), QueryRun{
+		Plan: Filter(Scan(tbl), FloatCmp("Value", Ge, target)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rel.Rows) != n {
+		t.Fatalf("scatter-gather saw %d rows at target, want %d", len(rel.Rows), n)
+	}
 }
 
 // TestShardedRunMLDegenerateErrors pins the facade's error surface: no
