@@ -1,5 +1,5 @@
 # Tier-1 gate: everything `make check` runs must stay green.
-.PHONY: check build vet test test-race-short bench-vet bench-smoke fuzz staticcheck obs
+.PHONY: check build vet test test-race-short bench-vet bench-smoke fuzz staticcheck obs flake
 
 check: build vet test test-race-short bench-vet
 
@@ -41,6 +41,15 @@ obs:
 	go test -race ./internal/obs ./internal/trace ./internal/introspect
 	go test -race -run 'Observability|DebugServer|LatenciesAndTrace|BarrierSkew|StampsNothing|MergedTrace|ShardedTraceAllShards|ExplainAnalyze|ShardedExplain' . ./internal/exec
 	go test -bench 'ObserverOverhead|TraceOverhead|HistogramOverhead|DistTraceOverhead|WALMetricsOverhead' -benchtime 20x -run '^$$' .
+
+# Flake hunt: the whole suite twenty times, the internal packages five
+# times under the race detector, and the benchmark module's tests twenty
+# times. A test that fails here once is nondeterministic. Too slow for every
+# change; CI runs it nightly.
+flake:
+	go test -count=20 ./...
+	go test -race -count=5 ./internal/...
+	cd bench && go test -count=20 ./...
 
 # Optional deeper static analysis; no-op when staticcheck is not on PATH
 # (the container image does not bake it in, CI installs it).

@@ -202,8 +202,8 @@ type DB struct {
 	gcObs     *obs.Observer
 
 	// dur is the durability state (WAL, checkpoint cache, crash killer),
-	// non-nil only under WithWAL. It is armed by restore() AFTER recovery
-	// replay, so replay never re-logs the records it is applying.
+	// non-nil only under WithWAL. It is armed AFTER recovery replay, so
+	// replay never re-logs the records it is applying.
 	dur *durability
 
 	// Introspection state, non-nil only under WithDebugServer: a shared
@@ -391,7 +391,12 @@ func Open(opts ...Option) *DB {
 	if oc.walDir != "" {
 		// Recovery runs before anything is served: checkpoint restore, WAL
 		// tail replay, then the log is armed for new appends.
-		db.restore(oc)
+		dur, err := recoverKernel(db, oc, db.agg, db.tracer)
+		if err != nil {
+			db.Close()
+			panic("db4ml: recovery: " + err.Error())
+		}
+		db.dur = dur
 		if oc.ckptEvery > 0 {
 			pool.Maintain(oc.ckptEvery, func() { _ = db.Checkpoint() })
 		}
@@ -399,7 +404,7 @@ func Open(opts ...Option) *DB {
 	return db
 }
 
-// tableList snapshots the current table set for the reclaimer.
+// tableList snapshots the current table set.
 func (db *DB) tableList() []*table.Table {
 	db.tblMu.RLock()
 	defer db.tblMu.RUnlock()
@@ -455,6 +460,13 @@ func (db *DB) Close() error {
 
 // CreateTable adds a new, empty ML-table.
 func (db *DB) CreateTable(name string, cols ...Column) (*Table, error) {
+	return db.createTable(name, cols, db.dur)
+}
+
+// createTable registers a new table. Its creation is logged through d (nil
+// during recovery) before registering: if the append fails (crash, I/O
+// error) the table never existed, matching what recovery will reconstruct.
+func (db *DB) createTable(name string, cols []Column, d *durability) (*Table, error) {
 	schema, err := table.NewSchema(cols...)
 	if err != nil {
 		return nil, err
@@ -464,18 +476,38 @@ func (db *DB) CreateTable(name string, cols ...Column) (*Table, error) {
 	if _, exists := db.tables[name]; exists {
 		return nil, fmt.Errorf("db4ml: table %q already exists", name)
 	}
-	t := table.New(name, schema)
-	if db.dur != nil {
-		// Log the creation before registering: if the append fails (crash,
-		// I/O error) the table never existed, matching what recovery will
-		// reconstruct.
-		if err := db.dur.appendCreate(name, cols); err != nil {
-			return nil, err
-		}
+	if err := d.appendCreate(name, cols); err != nil {
+		return nil, err
 	}
+	t := table.New(name, schema)
 	db.tables[name] = t
 	return t, nil
 }
+
+// loadAt appends rows to tbl in one publish at ts (recovery's bulk load).
+func (db *DB) loadAt(tbl *Table, ts Timestamp, rows []Payload) (err error) {
+	db.publishAt(ts, func(ts Timestamp) { err = appendRows(tbl, ts, rows) })
+	return err
+}
+
+// appendRows appends rows to tbl at ts, stopping at the first error.
+func appendRows(tbl *Table, ts Timestamp, rows []Payload) error {
+	for _, p := range rows {
+		if _, err := tbl.Append(ts, p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// publishAt runs publish inside one publish at ts.
+func (db *DB) publishAt(ts Timestamp, publish func(ts Timestamp)) {
+	db.mgr.Prepare().CommitAt(ts, publish)
+}
+
+func (db *DB) managers() []*txn.Manager { return []*txn.Manager{db.mgr} }
+
+func (db *DB) mutations(tbl *Table) uint64 { return tbl.Mutations() }
 
 // Table returns a table by name, or nil.
 func (db *DB) Table(name string) *Table {
@@ -495,22 +527,14 @@ func (db *DB) BulkLoad(tbl *Table, rows []Payload) error {
 	var firstRow int
 	ts := db.mgr.PublishAt(func(ts Timestamp) {
 		firstRow = tbl.NumRows()
-		for _, r := range rows {
-			if _, e := tbl.Append(ts, r); e != nil {
-				err = e
-				return
-			}
-		}
+		err = appendRows(tbl, ts, rows)
 	})
 	if err != nil {
 		return err
 	}
-	if db.dur != nil && len(rows) > 0 {
-		// Publish-then-log: the load is visible in memory before the append;
-		// an append failure means it was never durable (and never acked).
-		return db.dur.appendLoad(tbl.Name(), ts, firstRow, rows)
-	}
-	return nil
+	// Publish-then-log: the load is visible in memory before the append; an
+	// append failure means it was never durable (and never acked).
+	return db.dur.appendLoad(tbl.Name(), ts, firstRow, rows)
 }
 
 // Stable returns the newest fully published commit timestamp; reads at
@@ -750,12 +774,10 @@ func (db *DB) SubmitML(ctx context.Context, run MLRun) (*JobHandle, error) {
 				// committed-exactly-or-absent holds.
 				return false, chaos.ErrCrashed
 			}
-			if db.dur != nil {
-				if err := db.dur.appendCommit(ts, tables, job.ID()); err != nil {
-					// The append or its fsync failed — the commit may not
-					// survive a restart, so it must not be acknowledged.
-					return false, err
-				}
+			if err := db.dur.appendCommit(ts, tables, job.ID()); err != nil {
+				// The append or its fsync failed — the commit may not
+				// survive a restart, so it must not be acknowledged.
+				return false, err
 			}
 			h.ts = ts
 			if run.Recorder != nil {

@@ -87,17 +87,25 @@ func (d *Decoded) Build(ts storage.Timestamp) (*table.Table, error) {
 			return nil, fmt.Errorf("checkpoint: %w", err)
 		}
 	}
+	if err := d.CreateIndexes(tbl); err != nil {
+		return nil, err
+	}
+	return tbl, nil
+}
+
+// CreateIndexes recreates the section's persisted secondary indexes on tbl.
+func (d *Decoded) CreateIndexes(tbl *table.Table) error {
 	for _, col := range d.HashIdx {
 		if err := tbl.CreateHashIndex(col); err != nil {
-			return nil, fmt.Errorf("checkpoint: %w", err)
+			return fmt.Errorf("checkpoint: %w", err)
 		}
 	}
 	for _, col := range d.TreeIdx {
 		if err := tbl.CreateTreeIndex(col); err != nil {
-			return nil, fmt.Errorf("checkpoint: %w", err)
+			return fmt.Errorf("checkpoint: %w", err)
 		}
 	}
-	return tbl, nil
+	return nil
 }
 
 // --- encoding ---

@@ -32,7 +32,8 @@ type Table struct {
 	part partition.Partitioner
 
 	// muts counts publishes that changed visible state — appends, adopted
-	// chains, OLTP write publishes, iterative commits. The fuzzy
+	// chains, OLTP write publishes, iterative commits — and index
+	// creations, whose definitions checkpoints persist too. The fuzzy
 	// checkpointer uses it as a cheap change detector: a table whose counter
 	// is unchanged since the last checkpoint pass has an identical visible
 	// state at any later pinned snapshot, so its encoded section can be
@@ -262,6 +263,7 @@ func (t *Table) CreateHashIndex(col string) error {
 	t.idxMu.Lock()
 	t.hashIdx[col] = idx
 	t.idxMu.Unlock()
+	t.muts.Add(1)
 	return nil
 }
 
@@ -278,6 +280,7 @@ func (t *Table) CreateTreeIndex(col string) error {
 	t.idxMu.Lock()
 	t.treeIdx[col] = idx
 	t.idxMu.Unlock()
+	t.muts.Add(1)
 	return nil
 }
 

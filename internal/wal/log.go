@@ -168,6 +168,16 @@ func (l *Log) newSegment(firstLSN uint64) error {
 	return nil
 }
 
+// roll starts the next segment unless the active one holds no record: the
+// next segment would begin at the same LSN, and so under the same name.
+// Appender-side only.
+func (l *Log) roll() error {
+	if l.segBytes <= segHeaderLen {
+		return nil
+	}
+	return l.newSegment(l.nextLSN.Load())
+}
+
 func (l *Log) syncFile() {
 	start := time.Now()
 	at := l.opts.Tracer.Now()
@@ -206,7 +216,8 @@ func (l *Log) Append(rec *Record) error {
 }
 
 // Roll asks the appender to start a new segment, making the previous one
-// eligible for TruncateBelow. It returns once the roll happened.
+// eligible for TruncateBelow. It returns once the roll happened. Rolling a
+// segment that holds no record yet is a no-op.
 func (l *Log) Roll() error {
 	return l.submit(&appendReq{done: make(chan struct{})}) // nil rec = roll
 }
@@ -321,7 +332,7 @@ func (l *Log) processBatch(batch []*appendReq) {
 		return
 	}
 	if l.segBytes >= l.opts.SegmentBytes {
-		if err := l.newSegment(l.nextLSN.Load()); err != nil {
+		if err := l.roll(); err != nil {
 			l.broken.Store(err)
 			settleRest(err)
 			return
@@ -343,7 +354,7 @@ func (l *Log) processBatch(batch []*appendReq) {
 				settleRest(err)
 				return
 			}
-			if err := l.newSegment(l.nextLSN.Load()); err != nil {
+			if err := l.roll(); err != nil {
 				l.broken.Store(err)
 				settleRest(err)
 				return

@@ -243,6 +243,40 @@ func TestRollAndTruncateBelow(t *testing.T) {
 	}
 }
 
+// TestIdleRollIsNoOp rolls twice with nothing appended in between: the
+// second roll would name a segment that already exists, so it must not
+// create one, and the log must keep accepting appends.
+func TestIdleRollIsNoOp(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := l.Roll(); err != nil {
+			t.Fatalf("roll %d: %v", i, err)
+		}
+	}
+	if err := l.Append(commitRec(1, "t", 0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2.Close()
+	recs, err := Records(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].LSN != 1 {
+		t.Fatalf("after idle rolls: %d records %v, want the one appended", len(recs), recs)
+	}
+}
+
 func TestSegmentRollAtSizeThreshold(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := Open(Options{Dir: dir, SegmentBytes: 256})

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -83,7 +82,7 @@ type ShardedDB struct {
 	byView map[*Table]*ShardedTable
 
 	// dur is the durability state (WAL, checkpoint cache, crash killer),
-	// non-nil only under WithWAL; armed by restoreSharded after recovery.
+	// non-nil only under WithWAL; armed after recovery replay.
 	dur *durability
 
 	// One version reclaimer per shard, each clamped to its own kernel's
@@ -138,7 +137,7 @@ func OpenSharded(opts ...Option) *ShardedDB {
 	for s := 0; s < oc.shards; s++ {
 		s := s
 		db.reclaimers[s] = gc.New(cluster.Kernel(s).Mgr(), func() []*table.Table {
-			return db.localTables(s)
+			return db.tablesBy(func(st *ShardedTable) *Table { return st.Local(s) })
 		})
 		if oc.gcInterval > 0 {
 			cluster.Kernel(s).Pool().Maintain(oc.gcInterval, func() { db.reclaimers[s].Pass() })
@@ -171,7 +170,15 @@ func OpenSharded(opts ...Option) *ShardedDB {
 		db.debug = srv
 	}
 	if oc.walDir != "" {
-		db.restoreSharded(oc)
+		// Durability telemetry is cluster-level; it lives on shard 0's
+		// aggregator, like the coordinator's.
+		dur, err := recoverKernel(db, oc, db.agg.Shard(0), db.coTracer)
+		if err != nil {
+			db.Close()
+			panic("db4ml: recovery: " + err.Error())
+		}
+		db.dur = dur
+		db.co.SetCrash(oc.crash)
 		if oc.ckptEvery > 0 {
 			// The checkpointer rides shard 0's maintenance goroutine; the
 			// cut it takes spans every shard.
@@ -218,16 +225,20 @@ func (db *ShardedDB) shardInfos() []introspect.ShardInfo {
 	return out
 }
 
-// localTables snapshots shard s's local tables for its reclaimer.
-func (db *ShardedDB) localTables(s int) []*table.Table {
+// tablesBy snapshots one table per sharded table, chosen by pick: shard
+// s's reclaimer takes the locals, the checkpointer the views.
+func (db *ShardedDB) tablesBy(pick func(*ShardedTable) *Table) []*Table {
 	db.tblMu.RLock()
 	defer db.tblMu.RUnlock()
-	out := make([]*table.Table, 0, len(db.tables))
-	for _, t := range db.tables {
-		out = append(out, t.Local(s))
+	out := make([]*Table, 0, len(db.tables))
+	for _, st := range db.tables {
+		out = append(out, pick(st))
 	}
 	return out
 }
+
+// tableList snapshots the view tables.
+func (db *ShardedDB) tableList() []*Table { return db.tablesBy((*ShardedTable).View) }
 
 // Shards returns the shard count.
 func (db *ShardedDB) Shards() int { return db.cluster.Shards() }
@@ -260,6 +271,12 @@ func (db *ShardedDB) Close() error {
 // against it run unchanged. Placement follows the database's shard scheme
 // (WithShardScheme).
 func (db *ShardedDB) CreateTable(name string, cols ...Column) (*Table, error) {
+	return db.createTable(name, cols, db.dur)
+}
+
+// createTable registers a new sharded table and returns its view, logging
+// the creation through d (nil during recovery) before registering.
+func (db *ShardedDB) createTable(name string, cols []Column, d *durability) (*Table, error) {
 	schema, err := table.NewSchema(cols...)
 	if err != nil {
 		return nil, err
@@ -269,16 +286,56 @@ func (db *ShardedDB) CreateTable(name string, cols ...Column) (*Table, error) {
 	if _, exists := db.tables[name]; exists {
 		return nil, fmt.Errorf("db4ml: table %q already exists", name)
 	}
-	router := shard.NewRouter(db.scheme, db.cluster.Shards(), 0)
-	st := shard.NewTable(name, schema, router)
-	if db.dur != nil {
-		if err := db.dur.appendCreate(name, cols); err != nil {
-			return nil, err
-		}
+	if err := d.appendCreate(name, cols); err != nil {
+		return nil, err
 	}
+	st := shard.NewTable(name, schema, shard.NewRouter(db.scheme, db.cluster.Shards(), 0))
 	db.tables[name] = st
 	db.byView[st.View()] = st
 	return st.View(), nil
+}
+
+// mutations sums a view's counter with its locals': commits bump the
+// owning locals' counters (the uber-transaction attaches locals) while
+// loads bump the view's, so the sum moves exactly when any of them does.
+func (db *ShardedDB) mutations(view *Table) uint64 {
+	muts := view.Mutations()
+	if st, err := db.shardedOf(view); err == nil {
+		for s := 0; s < db.cluster.Shards(); s++ {
+			muts += st.Local(s).Mutations()
+		}
+	}
+	return muts
+}
+
+// loadAt appends rows to a view's table in one all-shard publish at ts.
+func (db *ShardedDB) loadAt(view *Table, ts Timestamp, rows []Payload) error {
+	st, err := db.shardedOf(view)
+	if err != nil {
+		return err
+	}
+	return st.LoadAt(db.cluster, ts, rows)
+}
+
+// publishAt runs publish once inside one all-shard publish at ts: view
+// chains are the shards' chains, so installing through them on shard 0
+// covers every shard.
+func (db *ShardedDB) publishAt(ts Timestamp, publish func(ts Timestamp)) {
+	_ = db.cluster.PublishAllAt(ts, func(shard int, ts Timestamp) error {
+		if shard == 0 {
+			publish(ts)
+		}
+		return nil
+	})
+}
+
+// managers lists every shard's transaction manager in shard order.
+func (db *ShardedDB) managers() []*txn.Manager {
+	out := make([]*txn.Manager, db.cluster.Shards())
+	for s := range out {
+		out[s] = db.cluster.Kernel(s).Mgr()
+	}
+	return out
 }
 
 // Table returns a table's global view by name, or nil.
@@ -326,10 +383,7 @@ func (db *ShardedDB) BulkLoad(tbl *Table, rows []Payload) error {
 	if err != nil {
 		return err
 	}
-	if db.dur != nil && len(rows) > 0 {
-		return db.dur.appendLoad(st.Name(), ts, firstRow, rows)
-	}
-	return nil
+	return db.dur.appendLoad(st.Name(), ts, firstRow, rows)
 }
 
 // Stable returns the newest timestamp at which EVERY shard is fully
@@ -469,7 +523,7 @@ func (db *ShardedDB) SubmitML(ctx context.Context, run MLRun) (*ShardedJobHandle
 		return nil, err
 	}
 	set := db.settings(run)
-	uber, views, observers, err := db.uberRun(run, set)
+	uber, observers, err := db.uberRun(run, set)
 	if err != nil {
 		db.release()
 		return nil, err
@@ -519,6 +573,9 @@ func (db *ShardedDB) SubmitML(ctx context.Context, run MLRun) (*ShardedJobHandle
 	if tracer == nil {
 		tracer = db.coTracer
 	}
+	// The commit is logged from the attached views: their chains are the
+	// locals' chains, so after-images read identically.
+	views := distinctTables(run.Attach)
 	go db.supervise(&h.handleCore, attempt{
 		policy: set.policy,
 		token:  inner.TraceID(),
@@ -543,11 +600,9 @@ func (db *ShardedDB) SubmitML(ctx context.Context, run MLRun) (*ShardedJobHandle
 			if err != nil {
 				return inner.Quiesced(), err
 			}
-			if db.dur != nil {
-				if err := db.dur.appendCommit(ts, views, inner.TraceID()); err != nil {
-					// Durably uncertain commits are never acknowledged.
-					return false, err
-				}
+			if err := db.dur.appendCommit(ts, views, inner.TraceID()); err != nil {
+				// Durably uncertain commits are never acknowledged.
+				return false, err
 			}
 			h.ts = ts
 			return false, nil
@@ -573,12 +628,10 @@ func (db *ShardedDB) SubmitML(ctx context.Context, run MLRun) (*ShardedJobHandle
 // uberRun plans run across the cluster: every attachment resolved to its
 // sharded table and split into per-shard locals, the sub-transactions
 // grouped by placement, and one job configuration per shard. It also
-// returns the distinct view tables the commit is logged from (their chains
-// are the locals' chains, so after-images read identically) and the
-// per-shard observers, nil when the run is uninstrumented.
-func (db *ShardedDB) uberRun(run MLRun, set settings) (shard.UberRun, []*Table, []*Observer, error) {
+// returns the per-shard observers, nil when the run is uninstrumented.
+func (db *ShardedDB) uberRun(run MLRun, set settings) (shard.UberRun, []*Observer, error) {
 	if len(run.Attach) == 0 {
-		return shard.UberRun{}, nil, nil, fmt.Errorf("db4ml: a sharded ML run must attach at least one table")
+		return shard.UberRun{}, nil, fmt.Errorf("db4ml: a sharded ML run must attach at least one table")
 	}
 	n := db.cluster.Shards()
 
@@ -586,18 +639,17 @@ func (db *ShardedDB) uberRun(run MLRun, set settings) (shard.UberRun, []*Table, 
 	// runs no sub-transactions.
 	var primary *ShardedTable
 	attach := make([][]shard.Attachment, n)
-	views := make([]*Table, 0, len(run.Attach))
 	for ai, a := range run.Attach {
 		st, err := db.shardedOf(a.Table)
 		if err != nil {
-			return shard.UberRun{}, nil, nil, err
+			return shard.UberRun{}, nil, err
 		}
 		if ai == 0 {
 			primary = st
 		}
 		locals, err := st.LocalRows(a.Rows)
 		if err != nil {
-			return shard.UberRun{}, nil, nil, err
+			return shard.UberRun{}, nil, err
 		}
 		for s := 0; s < n; s++ {
 			attach[s] = append(attach[s], shard.Attachment{
@@ -605,9 +657,6 @@ func (db *ShardedDB) uberRun(run MLRun, set settings) (shard.UberRun, []*Table, 
 				Rows:     locals[s],
 				Versions: a.Versions,
 			})
-		}
-		if !slices.Contains(views, st.View()) {
-			views = append(views, st.View())
 		}
 	}
 
@@ -620,7 +669,7 @@ func (db *ShardedDB) uberRun(run MLRun, set settings) (shard.UberRun, []*Table, 
 	for i, sub := range run.Subs {
 		s := shardOf(i)
 		if s < 0 || s >= n {
-			return shard.UberRun{}, nil, nil, fmt.Errorf("db4ml: sub-transaction %d routed to shard %d of %d (is the first attached table loaded?)", i, s, n)
+			return shard.UberRun{}, nil, fmt.Errorf("db4ml: sub-transaction %d routed to shard %d of %d (is the first attached table loaded?)", i, s, n)
 		}
 		subs[s] = append(subs[s], sub)
 	}
@@ -667,7 +716,7 @@ func (db *ShardedDB) uberRun(run MLRun, set settings) (shard.UberRun, []*Table, 
 		// The synchronous level's contract is global: no shard may enter a
 		// round before every shard finished the previous one.
 		GlobalBarrier: run.Isolation.Level == Synchronous,
-	}, views, observers, nil
+	}, observers, nil
 }
 
 // RunML executes one ML algorithm as a distributed uber-transaction and
