@@ -1,5 +1,5 @@
 # Tier-1 gate: everything `make check` runs must stay green.
-.PHONY: check build vet test test-race-short bench-vet bench-smoke fuzz staticcheck obs flake
+.PHONY: check build vet test test-race-short bench-vet bench-smoke perf fuzz staticcheck obs flake
 
 check: build vet test test-race-short bench-vet
 
@@ -29,6 +29,13 @@ bench-vet:
 # benchmark run.
 bench-smoke:
 	go test -bench=BenchmarkObserverOverhead -benchtime=1x -run '^$$' .
+
+# The end-to-end benchmark (BENCHMARK.json) at seed 1, every workload: first
+# the end-to-end metrics, then a traced run for the per-layer ladder. One
+# JSON line per workload and run; minutes, not seconds.
+perf:
+	bash bench/run.sh --seed 1
+	bash bench/run.sh --seed 1 --trace 1
 
 # Observability gate: the zero-alloc contracts of the disabled hot paths
 # (enforced as tests), the observability test surface under the race

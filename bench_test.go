@@ -57,6 +57,17 @@ func BenchmarkFig14SGDMicroArch(b *testing.B)       { benchExperiment(b, experim
 
 func benchGraph() *graph.Graph { return graph.BarabasiAlbert(1500, 12, 99) }
 
+// benchPool starts a worker pool that is closed when the benchmark ends.
+func benchPool(b *testing.B, cfg exec.Config) *exec.Pool {
+	b.Helper()
+	p, err := exec.NewPool(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(p.Close)
+	return p
+}
+
 func runPR(b *testing.B, cfg pagerank.Config, g *graph.Graph) {
 	b.Helper()
 	mgr := txn.NewManager()
@@ -75,18 +86,22 @@ func runPR(b *testing.B, cfg pagerank.Config, g *graph.Graph) {
 func BenchmarkAblationSingleVersionHint(b *testing.B) {
 	g := benchGraph()
 	b.Run("hint-single-version", func(b *testing.B) {
+		pool := benchPool(b, exec.Config{Workers: 4})
 		for i := 0; i < b.N; i++ {
 			runPR(b, pagerank.Config{
-				Exec:      exec.Config{Workers: 4, MaxIterations: 10},
+				Exec:      exec.JobConfig{MaxIterations: 10},
+				Pool:      pool,
 				Isolation: isolation.Options{Level: isolation.BoundedStaleness, Staleness: 8},
 				Epsilon:   -1,
 			}, g)
 		}
 	})
 	b.Run("general-multi-version", func(b *testing.B) {
+		pool := benchPool(b, exec.Config{Workers: 4})
 		for i := 0; i < b.N; i++ {
 			runPR(b, pagerank.Config{
-				Exec:      exec.Config{Workers: 4, MaxIterations: 10},
+				Exec:      exec.JobConfig{MaxIterations: 10},
+				Pool:      pool,
 				Isolation: isolation.Options{Level: isolation.BoundedStaleness, Staleness: 8},
 				Epsilon:   -1,
 				Versions:  10,
@@ -100,13 +115,11 @@ func BenchmarkAblationSingleVersionHint(b *testing.B) {
 func BenchmarkAblationQueueTopology(b *testing.B) {
 	g := benchGraph()
 	run := func(b *testing.B, regions int) {
+		pool := benchPool(b, exec.Config{Workers: 4, Topology: topo(regions, 4)})
 		for i := 0; i < b.N; i++ {
 			runPR(b, pagerank.Config{
-				Exec: exec.Config{
-					Workers:       4,
-					Topology:      topo(regions, 4),
-					MaxIterations: 10,
-				},
+				Exec:      exec.JobConfig{MaxIterations: 10},
+				Pool:      pool,
 				Isolation: isolation.Options{Level: isolation.Asynchronous},
 				Epsilon:   -1,
 			}, g)
@@ -281,9 +294,11 @@ func BenchmarkAblationTxStateCache(b *testing.B) {
 func BenchmarkObserverOverhead(b *testing.B) {
 	g := benchGraph()
 	run := func(b *testing.B, o *obs.Observer) {
+		pool := benchPool(b, exec.Config{Workers: 4})
 		for i := 0; i < b.N; i++ {
 			runPR(b, pagerank.Config{
-				Exec:      exec.Config{Workers: 4, MaxIterations: 10, Observer: o},
+				Exec:      exec.JobConfig{MaxIterations: 10, Observer: o},
+				Pool:      pool,
 				Isolation: isolation.Options{Level: isolation.Asynchronous},
 				Epsilon:   -1,
 			}, g)
@@ -301,9 +316,11 @@ func BenchmarkObserverOverhead(b *testing.B) {
 func BenchmarkTraceOverhead(b *testing.B) {
 	g := benchGraph()
 	run := func(b *testing.B, tr *trace.Tracer) {
+		pool := benchPool(b, exec.Config{Workers: 4})
 		for i := 0; i < b.N; i++ {
 			runPR(b, pagerank.Config{
-				Exec:      exec.Config{Workers: 4, MaxIterations: 10, Tracer: tr},
+				Exec:      exec.JobConfig{MaxIterations: 10, Tracer: tr},
+				Pool:      pool,
 				Isolation: isolation.Options{Level: isolation.Asynchronous},
 				Epsilon:   -1,
 			}, g)

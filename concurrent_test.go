@@ -354,7 +354,7 @@ func TestConcurrentJobsMatchSequentialStats(t *testing.T) {
 		}
 		res, err := pagerank.Run(mgr, node, edge, pagerank.Config{
 			Pool:      pool,
-			Exec:      exec.Config{MaxIterations: prIters},
+			Exec:      exec.JobConfig{MaxIterations: prIters},
 			Isolation: isolation.Options{Level: isolation.Asynchronous},
 		})
 		if err != nil {

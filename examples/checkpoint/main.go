@@ -31,8 +31,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	pool, err := exec.NewPool(exec.Config{Workers: 4})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer pool.Close()
 	res, err := sgd.Run(mgr, tables, sgd.Config{
-		Exec:   exec.Config{Workers: 4},
+		Pool:   pool,
 		Epochs: 10, Lambda: 1e-5, Seed: 3,
 	})
 	if err != nil {

@@ -26,8 +26,13 @@ func main() {
 		log.Fatal(err)
 	}
 
+	pool, err := exec.NewPool(exec.Config{Workers: 4})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer pool.Close()
 	res, err := labelprop.Run(mgr, tbl, g, labelprop.Config{
-		Exec:      exec.Config{Workers: 4},
+		Pool:      pool,
 		Isolation: isolation.Options{Level: isolation.Synchronous},
 	})
 	if err != nil {

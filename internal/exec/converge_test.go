@@ -49,9 +49,8 @@ func ringFixpoint(t *testing.T, convergeTogether bool) ([]float64, Stats) {
 	for i := range subs {
 		subs[i] = &fixpointSub{mine: recs[i], left: recs[(i+n-1)%n]}
 	}
-	e := New(Config{Workers: 4, ConvergeTogether: convergeTogether},
-		isolation.Options{Level: isolation.Synchronous})
-	stats := e.Run(subs, nil)
+	stats := runJob(t, Config{Workers: 4}, isolation.Options{Level: isolation.Synchronous},
+		JobConfig{ConvergeTogether: convergeTogether}, subs)
 	out := make(storage.Payload, 1)
 	vals := make([]float64, n)
 	for i, rec := range recs {
@@ -96,9 +95,8 @@ func TestConvergeTogetherRespectsMaxIterations(t *testing.T) {
 		recs[i] = storage.NewIterativeRecord(storage.Payload{0}, 1)
 		subs[i] = &neverDoneSub{rec: recs[i]}
 	}
-	e := New(Config{Workers: 2, MaxIterations: 4, ConvergeTogether: true},
-		isolation.Options{Level: isolation.Synchronous})
-	stats := e.Run(subs, nil)
+	stats := runJob(t, Config{Workers: 2}, isolation.Options{Level: isolation.Synchronous},
+		JobConfig{MaxIterations: 4, ConvergeTogether: true}, subs)
 	if stats.Rounds != 4 || stats.ForcedStops != n {
 		t.Fatalf("stats = %+v", stats)
 	}

@@ -23,11 +23,8 @@ import (
 	"time"
 
 	"db4ml/internal/chaos"
-	"db4ml/internal/isolation"
 	"db4ml/internal/itx"
 	"db4ml/internal/numa"
-	"db4ml/internal/obs"
-	"db4ml/internal/trace"
 )
 
 // Recorder extends the per-context history recorder (itx.Recorder) with
@@ -65,9 +62,9 @@ func deriveMaxAttempts(maxIterations uint64) uint64 {
 	return maxIterations * defaultAttemptFactor
 }
 
-// Config tunes the executor. Workers, Topology, and DisableWorkStealing
-// describe the pool; the remaining fields describe one job and are carried
-// into its JobConfig by the convenience runners.
+// Config describes a Pool: its workers, their simulated NUMA layout, and
+// the pool-level fault injection. Everything about one job lives in
+// JobConfig.
 type Config struct {
 	// Workers is the number of worker goroutines; defaults to
 	// runtime.GOMAXPROCS(0).
@@ -75,70 +72,16 @@ type Config struct {
 	// Topology is the simulated NUMA layout; defaults to
 	// numa.PaperTopology(Workers).
 	Topology numa.Topology
-	// BatchSize is the number of sub-transactions per scheduling batch;
-	// defaults to DefaultBatchSize.
-	BatchSize int
-	// MaxIterations, when nonzero, force-retires any sub-transaction that
-	// has committed this many iterations without returning Done. It
-	// implements the paper's "pre-set and fixed number of iterations"
-	// convergence cap.
-	MaxIterations uint64
-	// MaxAttempts, when nonzero, force-retires any sub-transaction after
-	// this many finalized attempts, counting rolled-back iterations that
-	// MaxIterations ignores. It is the livelock backstop: a sub-transaction
-	// that perpetually rolls back (e.g. SSP-throttled behind a straggler
-	// that never advances) commits nothing and would otherwise circulate
-	// forever. Defaults to MaxIterations×64 when MaxIterations is set.
-	MaxAttempts uint64
 	// DisableWorkStealing turns off the pool's cross-region work stealing,
 	// strictly confining every batch to the workers of its home region.
 	// Useful for locality measurements; costs idle cores when regionOf
 	// skews work toward few regions.
 	DisableWorkStealing bool
-	// Observer, when non-nil, collects run telemetry (per-worker counters,
-	// queue-depth gauges, a convergence time series; see internal/obs).
-	// When nil — the default — every telemetry site in the hot path is a
-	// single pointer nil-check.
-	Observer *obs.Observer
-	// Tracer, when non-nil, records the run's scheduling timeline (batch
-	// passes, queue waits, barrier skew, steals, faults, aborts) into its
-	// per-worker ring buffers; see internal/trace. nil — the default —
-	// records nothing: every trace method is nil-receiver safe, so the hot
-	// path pays one pointer test per site.
-	Tracer *trace.Tracer
-	// IterationHook, when non-nil, runs before every sub-transaction
-	// execution with the worker id. Experiments use it to inject
-	// stragglers (Figure 9).
-	IterationHook func(worker int)
-	// ConvergeTogether (synchronous level only) retires sub-transactions
-	// collectively: a Done verdict counts as a vote, and everyone retires
-	// only in a round where every live sub-transaction voted Done. This
-	// is the global convergence criterion of bulk-synchronous engines
-	// like Galois — a node whose value is momentarily stable keeps
-	// recomputing while its neighborhood still moves, which is required
-	// for DB4ML's synchronous PageRank to reproduce Galois' exact
-	// fixpoint (Section 7.2.1).
-	ConvergeTogether bool
-	// Label names the run's job in telemetry snapshots; defaults to
-	// "job-<id>".
-	Label string
-	// Chaos, when non-nil, injects scheduling faults (stalls, preemption,
-	// forced rollbacks, steal perturbation, mid-batch cancellation) at the
-	// pool's and the job's injection points. Test/experiment only; nil —
-	// the default — keeps every site a single nil-check. See internal/chaos.
+	// Chaos, when non-nil, perturbs the pool's steal attempts (SkipSteal);
+	// the per-job injection points take JobConfig.Chaos. Test/experiment
+	// only; nil — the default — keeps every site a single nil-check. See
+	// internal/chaos.
 	Chaos chaos.Injector
-	// Recorder, when non-nil, records the run's isolation-relevant history
-	// (reads, validations, installs, barrier flips) for post-hoc invariant
-	// checking. See internal/check.
-	Recorder Recorder
-	// Deadline, when nonzero, bounds the job's wall-clock runtime; past it
-	// the job is retired with resilience.ErrJobDeadline. See
-	// JobConfig.Deadline.
-	Deadline time.Duration
-	// StallTimeout, when nonzero, arms the progress watchdog that convicts
-	// jobs whose iteration heartbeat stops (resilience.ErrJobStalled). See
-	// JobConfig.StallTimeout.
-	StallTimeout time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -148,17 +91,11 @@ func (c Config) withDefaults() Config {
 	if c.Topology.Regions == 0 {
 		c.Topology = numa.PaperTopology(c.Workers)
 	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = DefaultBatchSize
-	}
-	if c.MaxAttempts == 0 && c.MaxIterations > 0 {
-		c.MaxAttempts = deriveMaxAttempts(c.MaxIterations)
-	}
 	return c
 }
 
 // Resolved returns the configuration with all defaults filled in, so
-// callers can see the worker count and topology a Run will actually use.
+// callers can see the worker count and topology NewPool will actually use.
 func (c Config) Resolved() Config { return c.withDefaults() }
 
 // Validate rejects configurations that could not execute: a topology with
@@ -173,25 +110,6 @@ func (c Config) Validate() error {
 			c.Workers, c.Topology.Regions)
 	}
 	return nil
-}
-
-// jobConfig extracts the per-job fields of c for a Pool submission.
-func (c Config) jobConfig(regionOf func(i int) int) JobConfig {
-	return JobConfig{
-		BatchSize:        c.BatchSize,
-		MaxIterations:    c.MaxIterations,
-		MaxAttempts:      c.MaxAttempts,
-		RegionOf:         regionOf,
-		IterationHook:    c.IterationHook,
-		ConvergeTogether: c.ConvergeTogether,
-		Observer:         c.Observer,
-		Tracer:           c.Tracer,
-		Label:            c.Label,
-		Chaos:            c.Chaos,
-		Recorder:         c.Recorder,
-		Deadline:         c.Deadline,
-		StallTimeout:     c.StallTimeout,
-	}
 }
 
 // Stats reports what one job did.
@@ -287,68 +205,4 @@ type batch struct {
 	// transfers with the batch like live. Only set while the job is
 	// instrumented — uninstrumented jobs never read the clock here.
 	enq int64
-}
-
-// Run drives subs to convergence on a throwaway pool: it builds a Pool
-// from cfg, submits one job, waits, and shuts the pool down. regionOf
-// assigns each sub-transaction (by its index) to a NUMA region for queue
-// routing and should match the data partitioning; nil distributes
-// round-robin. Long-lived callers should hold a Pool and use RunOn.
-func Run(cfg Config, opts isolation.Options, subs []itx.Sub, regionOf func(i int) int) (Stats, error) {
-	p, err := NewPool(cfg)
-	if err != nil {
-		return Stats{}, err
-	}
-	defer p.Close()
-	return RunOn(p, cfg, opts, subs, regionOf)
-}
-
-// RunOn drives subs to convergence as one job on an existing pool,
-// blocking until it finished. Only the per-job fields of cfg are used (the
-// pool fixes workers, topology, and stealing); a nil pool falls back to
-// Run's throwaway pool.
-func RunOn(p *Pool, cfg Config, opts isolation.Options, subs []itx.Sub, regionOf func(i int) int) (Stats, error) {
-	if p == nil {
-		return Run(cfg, opts, subs, regionOf)
-	}
-	j, err := p.Submit(subs, opts, cfg.jobConfig(regionOf))
-	if err != nil {
-		return Stats{}, err
-	}
-	return j.Wait()
-}
-
-// Engine is the one-shot convenience wrapper around Run, kept for callers
-// that drive a single uber-transaction start-to-finish.
-type Engine struct {
-	cfg  Config
-	opts isolation.Options
-}
-
-// New builds an engine for the given configuration and isolation options.
-func New(cfg Config, opts isolation.Options) *Engine {
-	return &Engine{cfg: cfg.withDefaults(), opts: opts}
-}
-
-// Run drives subs until every one of them converged (or hit
-// MaxIterations); it blocks until completion. It panics on a Config or
-// isolation combination Pool.Submit would reject — use Run/RunOn for an
-// error instead (the historical Engine signature has no error result).
-func (e *Engine) Run(subs []itx.Sub, regionOf func(i int) int) Stats {
-	stats, err := Run(e.cfg, e.opts, subs, regionOf)
-	if err != nil {
-		panic("exec: " + err.Error())
-	}
-	return stats
-}
-
-// Snapshot exports the telemetry collected by the configured observer
-// (internal/obs); ok is false when Config.Observer is nil. It may be
-// called while Run is in flight (a progress report) or afterwards (the
-// full account of the last run).
-func (e *Engine) Snapshot() (snap obs.Snapshot, ok bool) {
-	if e.cfg.Observer == nil {
-		return obs.Snapshot{}, false
-	}
-	return e.cfg.Observer.Snapshot(), true
 }

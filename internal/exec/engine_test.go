@@ -47,11 +47,33 @@ func newCounterSubs(n int, target uint64) ([]itx.Sub, []*storage.IterativeRecord
 	return subs, recs
 }
 
+// runJob runs subs as one job on a fresh pool built from pc — NewPool,
+// Submit, Wait, Close — and returns the job's stats. Failures are reported
+// with t.Errorf, so it may run off the test goroutine.
+func runJob(t testing.TB, pc Config, opts isolation.Options, jc JobConfig, subs []itx.Sub) Stats {
+	t.Helper()
+	p, err := NewPool(pc)
+	if err != nil {
+		t.Errorf("NewPool: %v", err)
+		return Stats{}
+	}
+	defer p.Close()
+	j, err := p.Submit(subs, opts, jc)
+	if err != nil {
+		t.Errorf("Submit: %v", err)
+		return Stats{}
+	}
+	stats, err := j.Wait()
+	if err != nil {
+		t.Errorf("Wait: %v", err)
+	}
+	return stats
+}
+
 func TestAsyncRunsToConvergence(t *testing.T) {
 	const n, target = 500, 10
 	subs, recs := newCounterSubs(n, target)
-	e := New(Config{Workers: 4, BatchSize: 32}, isolation.Options{Level: isolation.Asynchronous})
-	stats := e.Run(subs, nil)
+	stats := runJob(t, Config{Workers: 4}, isolation.Options{Level: isolation.Asynchronous}, JobConfig{BatchSize: 32}, subs)
 	out := make(storage.Payload, 1)
 	for i, rec := range recs {
 		rec.ReadRelaxed(out)
@@ -73,8 +95,7 @@ func TestAsyncRunsToConvergence(t *testing.T) {
 func TestSyncRunsToConvergence(t *testing.T) {
 	const n, target = 100, 7
 	subs, recs := newCounterSubs(n, target)
-	e := New(Config{Workers: 4, BatchSize: 16}, isolation.Options{Level: isolation.Synchronous})
-	stats := e.Run(subs, nil)
+	stats := runJob(t, Config{Workers: 4}, isolation.Options{Level: isolation.Synchronous}, JobConfig{BatchSize: 16}, subs)
 	out := make(storage.Payload, 1)
 	for i, rec := range recs {
 		rec.ReadRelaxed(out)
@@ -124,8 +145,7 @@ func TestSyncBSPDeterminism(t *testing.T) {
 		for i := range subs {
 			subs[i] = &ringSub{mine: recs[i], left: recs[(i+n-1)%n], rounds: rounds}
 		}
-		e := New(Config{Workers: workers, BatchSize: 8}, isolation.Options{Level: isolation.Synchronous})
-		e.Run(subs, nil)
+		runJob(t, Config{Workers: workers}, isolation.Options{Level: isolation.Synchronous}, JobConfig{BatchSize: 8}, subs)
 		out := make(storage.Payload, 1)
 		for i, rec := range recs {
 			rec.ReadRelaxed(out)
@@ -159,8 +179,7 @@ func (s *rollbackSub) Validate(ctx *itx.Ctx) itx.Action {
 func TestRollbackRetriesIteration(t *testing.T) {
 	rec := storage.NewIterativeRecord(storage.Payload{0}, 1)
 	sub := &rollbackSub{rec: rec, failures: 3}
-	e := New(Config{Workers: 2}, isolation.Options{Level: isolation.Asynchronous})
-	stats := e.Run([]itx.Sub{sub}, nil)
+	stats := runJob(t, Config{Workers: 2}, isolation.Options{Level: isolation.Asynchronous}, JobConfig{}, []itx.Sub{sub})
 	if stats.Rollbacks != 3 {
 		t.Fatalf("Rollbacks = %d, want 3", stats.Rollbacks)
 	}
@@ -185,8 +204,7 @@ func (s *neverDoneSub) Validate(ctx *itx.Ctx) itx.Action { return itx.Commit }
 
 func TestMaxIterationsCapsAsync(t *testing.T) {
 	rec := storage.NewIterativeRecord(storage.Payload{0}, 1)
-	e := New(Config{Workers: 2, MaxIterations: 12}, isolation.Options{Level: isolation.Asynchronous})
-	stats := e.Run([]itx.Sub{&neverDoneSub{rec: rec}}, nil)
+	stats := runJob(t, Config{Workers: 2}, isolation.Options{Level: isolation.Asynchronous}, JobConfig{MaxIterations: 12}, []itx.Sub{&neverDoneSub{rec: rec}})
 	if stats.ForcedStops != 1 {
 		t.Fatalf("ForcedStops = %d, want 1", stats.ForcedStops)
 	}
@@ -197,8 +215,7 @@ func TestMaxIterationsCapsAsync(t *testing.T) {
 
 func TestMaxIterationsCapsSync(t *testing.T) {
 	rec := storage.NewIterativeRecord(storage.Payload{0}, 1)
-	e := New(Config{Workers: 2, MaxIterations: 5}, isolation.Options{Level: isolation.Synchronous})
-	stats := e.Run([]itx.Sub{&neverDoneSub{rec: rec}}, nil)
+	stats := runJob(t, Config{Workers: 2}, isolation.Options{Level: isolation.Synchronous}, JobConfig{MaxIterations: 5}, []itx.Sub{&neverDoneSub{rec: rec}})
 	if stats.ForcedStops != 1 {
 		t.Fatalf("ForcedStops = %d, want 1", stats.ForcedStops)
 	}
@@ -210,8 +227,7 @@ func TestMaxIterationsCapsSync(t *testing.T) {
 func TestBatchSizeDoesNotChangeResult(t *testing.T) {
 	for _, bs := range []int{1, 4, 64, 1024} {
 		subs, recs := newCounterSubs(100, 5)
-		e := New(Config{Workers: 3, BatchSize: bs}, isolation.Options{Level: isolation.Asynchronous})
-		e.Run(subs, nil)
+		runJob(t, Config{Workers: 3}, isolation.Options{Level: isolation.Asynchronous}, JobConfig{BatchSize: bs}, subs)
 		out := make(storage.Payload, 1)
 		for i, rec := range recs {
 			rec.ReadRelaxed(out)
@@ -248,9 +264,8 @@ func TestRegionRoutingKeepsWorkInRegion(t *testing.T) {
 	// Stealing off: this test pins queue *routing* — every batch is
 	// processed only by its home region's workers. The steal fallback is
 	// covered by TestWorkStealingDrainsSkewedRegion.
-	e := New(Config{Workers: 4, Topology: top, BatchSize: 2, DisableWorkStealing: true},
-		isolation.Options{Level: isolation.Asynchronous})
-	e.Run(subs, regionOf)
+	runJob(t, Config{Workers: 4, Topology: top, DisableWorkStealing: true}, isolation.Options{Level: isolation.Asynchronous},
+		JobConfig{BatchSize: 2, RegionOf: regionOf}, subs)
 	for i, r := range recorders {
 		wantRegion := i % 2
 		for w := range r.workers {
@@ -265,11 +280,8 @@ func TestRegionRoutingKeepsWorkInRegion(t *testing.T) {
 func TestIterationHookInvoked(t *testing.T) {
 	var calls atomic.Int64
 	subs, _ := newCounterSubs(10, 3)
-	e := New(Config{
-		Workers:       2,
-		IterationHook: func(worker int) { calls.Add(1) },
-	}, isolation.Options{Level: isolation.Asynchronous})
-	stats := e.Run(subs, nil)
+	stats := runJob(t, Config{Workers: 2}, isolation.Options{Level: isolation.Asynchronous},
+		JobConfig{IterationHook: func(worker int) { calls.Add(1) }}, subs)
 	if uint64(calls.Load()) != stats.Executions {
 		t.Fatalf("hook calls %d != executions %d", calls.Load(), stats.Executions)
 	}
@@ -287,8 +299,7 @@ func TestBoundedStalenessEndToEnd(t *testing.T) {
 		subs[i] = &counterSub{rec: recs[i], target: target}
 	}
 	opts := isolation.Options{Level: isolation.BoundedStaleness, Staleness: 100}
-	e := New(Config{Workers: 4, BatchSize: 8}, opts)
-	stats := e.Run(subs, nil)
+	stats := runJob(t, Config{Workers: 4}, opts, JobConfig{BatchSize: 8}, subs)
 	if stats.Rollbacks != 0 {
 		t.Fatalf("unexpected rollbacks: %d", stats.Rollbacks)
 	}
@@ -302,20 +313,22 @@ func TestBoundedStalenessEndToEnd(t *testing.T) {
 }
 
 func TestEmptyRun(t *testing.T) {
-	e := New(Config{Workers: 2}, isolation.Options{Level: isolation.Asynchronous})
-	stats := e.Run(nil, nil)
+	stats := runJob(t, Config{Workers: 2}, isolation.Options{Level: isolation.Asynchronous}, JobConfig{}, nil)
 	if stats.Executions != 0 {
 		t.Fatal("executions on empty run")
 	}
-	e = New(Config{Workers: 2}, isolation.Options{Level: isolation.Synchronous})
-	if stats := e.Run(nil, nil); stats.Rounds != 0 {
+	if stats := runJob(t, Config{Workers: 2}, isolation.Options{Level: isolation.Synchronous}, JobConfig{}, nil); stats.Rounds != 0 {
 		t.Fatal("rounds on empty sync run")
 	}
 }
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Workers <= 0 || c.BatchSize != DefaultBatchSize || c.Topology.Regions < 1 {
-		t.Fatalf("defaults wrong: %+v", c)
+	if c.Workers <= 0 || c.Topology.Regions < 1 {
+		t.Fatalf("pool defaults wrong: %+v", c)
+	}
+	jc := JobConfig{MaxIterations: 5}.withDefaults()
+	if jc.BatchSize != DefaultBatchSize || jc.MaxAttempts != 64*5 {
+		t.Fatalf("job defaults wrong: %+v", jc)
 	}
 }

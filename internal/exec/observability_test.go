@@ -19,9 +19,8 @@ func TestQueuedRunPopulatesLatenciesAndTrace(t *testing.T) {
 	subs, _ := newCounterSubs(n, target)
 	o := obs.New()
 	tr := trace.New(4, 4096)
-	e := New(Config{Workers: 4, BatchSize: 8, Observer: o, Tracer: tr},
-		isolation.Options{Level: isolation.Asynchronous})
-	stats := e.Run(subs, nil)
+	stats := runJob(t, Config{Workers: 4}, isolation.Options{Level: isolation.Asynchronous},
+		JobConfig{BatchSize: 8, Observer: o, Tracer: tr}, subs)
 
 	lat := o.Snapshot().Latencies
 	if lat.Attempt.Count != stats.Executions {
@@ -72,9 +71,8 @@ func TestSyncRunRecordsBarrierSkew(t *testing.T) {
 	subs, _ := newCounterSubs(n, target)
 	o := obs.New()
 	tr := trace.New(3, 4096)
-	e := New(Config{Workers: 3, BatchSize: 4, Observer: o, Tracer: tr},
-		isolation.Options{Level: isolation.Synchronous})
-	stats := e.Run(subs, nil)
+	stats := runJob(t, Config{Workers: 3}, isolation.Options{Level: isolation.Synchronous},
+		JobConfig{BatchSize: 4, Observer: o, Tracer: tr}, subs)
 	if stats.Rounds == 0 {
 		t.Fatal("no rounds")
 	}
@@ -103,7 +101,7 @@ func TestSyncRunRecordsBarrierSkew(t *testing.T) {
 // clock readings for instrumentation) and still complete exactly.
 func TestUninstrumentedRunStampsNothing(t *testing.T) {
 	subs, _ := newCounterSubs(20, 3)
-	p, err := NewPool(Config{Workers: 2, BatchSize: 4})
+	p, err := NewPool(Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,10 @@ import (
 // ErrPoolClosed is returned by Pool.Submit after Close has begun.
 var ErrPoolClosed = errors.New("exec: pool closed")
 
+// ErrNoPool is returned by Pool.Submit on a nil pool: every job runs on a
+// caller-owned Pool.
+var ErrNoPool = errors.New("exec: no pool")
+
 // ErrJobCancelled is returned by Job.Wait when the job was retired by
 // Cancel before it converged.
 var ErrJobCancelled = errors.New("exec: job cancelled")
@@ -34,20 +38,26 @@ type JobConfig struct {
 	// defaults to DefaultBatchSize.
 	BatchSize int
 	// MaxIterations force-retires a sub-transaction after that many
-	// committed iterations (0 = run to convergence).
+	// committed iterations (0 = run to convergence): the paper's "pre-set
+	// and fixed number of iterations" cap.
 	MaxIterations uint64
 	// MaxAttempts force-retires a sub-transaction after that many finalized
-	// attempts, the livelock backstop; defaults to MaxIterations×64 when
-	// MaxIterations is set.
+	// attempts, rolled-back ones included — the livelock backstop for a
+	// sub-transaction that perpetually rolls back (e.g. SSP-throttled behind
+	// a straggler that never advances) and so never reaches MaxIterations.
+	// Defaults to MaxIterations×64 when MaxIterations is set.
 	MaxAttempts uint64
 	// RegionOf routes sub-transaction i to a NUMA region queue; nil
 	// spreads round-robin.
 	RegionOf func(i int) int
 	// IterationHook runs before every sub-transaction execution with the
-	// worker id.
+	// worker id. Experiments use it to inject stragglers (Figure 9).
 	IterationHook func(worker int)
 	// ConvergeTogether (synchronous level only) retires sub-transactions
-	// collectively at the first round where every live one votes Done.
+	// collectively at the first round where every live one votes Done —
+	// the global convergence criterion of bulk-synchronous engines like
+	// Galois, which synchronous PageRank needs to reproduce Galois' exact
+	// fixpoint (Section 7.2.1).
 	ConvergeTogether bool
 	// Observer, when non-nil, collects this job's telemetry; its snapshot
 	// is tagged with the job's label. One observer serves one job at a
@@ -164,8 +174,7 @@ type Pool struct {
 }
 
 // NewPool validates cfg (see Config.Validate), starts cfg.Workers worker
-// goroutines, and returns the running pool. Only the pool-level fields of
-// cfg are used: Workers, Topology, DisableWorkStealing.
+// goroutines, and returns the running pool.
 func NewPool(cfg Config) (*Pool, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -268,6 +277,9 @@ func (p *Pool) notify() {
 // are routed to region queues via jc.RegionOf and processed by the pool's
 // workers alongside every other active job.
 func (p *Pool) Submit(subs []itx.Sub, opts isolation.Options, jc JobConfig) (*Job, error) {
+	if p == nil {
+		return nil, ErrNoPool
+	}
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -501,7 +513,11 @@ func (p *Pool) processBatch(w int, j *Job, b *batch) {
 			now = j.nanotime()
 			j.firstArrive.CompareAndSwap(0, now)
 		}
-		if j.arrived.Add(1) == j.inFlight.Load() {
+		// The barrier size is read before arriving: once this arrival is
+		// counted, the last arriver may flip the phase and pushActive may
+		// store the next phase's (smaller) size, which a late read could
+		// match a second time.
+		if size := j.inFlight.Load(); j.arrived.Add(1) == size {
 			if j.instr {
 				if first := j.firstArrive.Swap(0); first > 0 {
 					skew := now - first
@@ -1182,9 +1198,9 @@ type Job struct {
 	id      uint64
 	traceID uint64 // id stamped on trace events: cfg.TraceID, or id
 	label   string
-	pool  *Pool
-	opts  isolation.Options
-	cfg   JobConfig
+	pool    *Pool
+	opts    isolation.Options
+	cfg     JobConfig
 
 	state   *itx.JobState
 	rq      []*queue.Queue[*batch] // per-region queues holding this job's batches

@@ -1,11 +1,13 @@
 package exec
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
 
 	"db4ml/internal/isolation"
+	"db4ml/internal/itx"
 	"db4ml/internal/numa"
 	"db4ml/internal/obs"
 )
@@ -229,15 +231,6 @@ func TestConfigValidateRejectsStarvingRegions(t *testing.T) {
 	if _, err := NewPool(bad); err == nil {
 		t.Fatal("NewPool accepted a topology with worker-less regions")
 	}
-	if _, err := Run(bad, async(), nil, nil); err == nil {
-		t.Fatal("Run accepted a topology with worker-less regions")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Engine.Run did not panic on an invalid config")
-		}
-	}()
-	New(bad, async()).Run(nil, nil)
 }
 
 // TestPoolSubmitManyFromGoroutines: concurrent Submit/Wait from many
@@ -255,7 +248,12 @@ func TestPoolSubmitManyFromGoroutines(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			subs, _ := newCounterSubs(10, 4)
-			stats, err := RunOn(p, Config{BatchSize: 3}, async(), subs, nil)
+			j, err := p.Submit(subs, async(), JobConfig{BatchSize: 3})
+			if err != nil {
+				errs <- err
+				return
+			}
+			stats, err := j.Wait()
 			if err != nil {
 				errs <- err
 				return
@@ -289,5 +287,87 @@ func TestEmptyJob(t *testing.T) {
 	}
 	if stats, err := j.Wait(); err != nil || stats.Executions != 0 {
 		t.Fatalf("empty job: stats=%+v err=%v", stats, err)
+	}
+}
+
+// TestNilPoolSubmit: a job needs a caller-owned pool; a nil one is an
+// error, not a throwaway pool.
+func TestNilPoolSubmit(t *testing.T) {
+	var p *Pool
+	if _, err := p.Submit(nil, async(), JobConfig{}); !errors.Is(err, ErrNoPool) {
+		t.Fatalf("Submit on a nil pool: err = %v, want ErrNoPool", err)
+	}
+}
+
+// retireAtSub runs once per synchronous round and retires after target
+// rounds. Every round commits, so its iteration count must equal its
+// executions so far; ranTwice records a round in which it ran again.
+type retireAtSub struct {
+	target, execs uint64
+	ranTwice      bool
+}
+
+func (s *retireAtSub) Begin(ctx *itx.Ctx) {}
+func (s *retireAtSub) Execute(ctx *itx.Ctx) {
+	if ctx.Iteration() != s.execs {
+		s.ranTwice = true
+	}
+	s.execs++
+}
+func (s *retireAtSub) Validate(ctx *itx.Ctx) itx.Action {
+	if s.execs >= s.target {
+		return itx.Done
+	}
+	return itx.Commit
+}
+
+// TestSyncBarrierShrinkingRounds stresses the synchronous barrier while its
+// size shrinks: one sub per batch, retiring at different rounds without
+// ConvergeTogether, so every round pushes fewer batches than the last. A
+// barrier that counted one phase's arrival against the next phase's size
+// would run the barrier twice and push live batches twice — a sub would
+// then execute twice in one round (and race with itself under -race), or
+// the job would hang with arrivals that never match the barrier size.
+func TestSyncBarrierShrinkingRounds(t *testing.T) {
+	const n, maxRounds, trials = 48, 24, 10
+	for _, workers := range []int{2, 4} {
+		for trial := 0; trial < trials; trial++ {
+			rs := make([]*retireAtSub, n)
+			subs := make([]itx.Sub, n)
+			for i := range subs {
+				rs[i] = &retireAtSub{target: uint64(1 + i%maxRounds)}
+				subs[i] = rs[i]
+			}
+			done := make(chan Stats, 1)
+			go func() {
+				done <- runJob(t, Config{Workers: workers},
+					isolation.Options{Level: isolation.Synchronous}, JobConfig{BatchSize: 1}, subs)
+			}()
+			var stats Stats
+			select {
+			case stats = <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatalf("workers=%d trial %d: synchronous job hung", workers, trial)
+			}
+			var want uint64
+			for i, r := range rs {
+				if r.ranTwice || r.execs != r.target {
+					t.Fatalf("workers=%d trial %d: sub %d executed %d times in %d rounds (ran twice in a round: %v)",
+						workers, trial, i, r.execs, r.target, r.ranTwice)
+				}
+				want += r.target
+			}
+			if stats.Executions != want || stats.Commits != want {
+				t.Fatalf("workers=%d trial %d: Executions %d, Commits %d, want %d each",
+					workers, trial, stats.Executions, stats.Commits, want)
+			}
+			if stats.Executions != stats.Commits+stats.Rollbacks {
+				t.Fatalf("workers=%d trial %d: Executions %d != Commits %d + Rollbacks %d",
+					workers, trial, stats.Executions, stats.Commits, stats.Rollbacks)
+			}
+			if stats.Rounds != maxRounds {
+				t.Fatalf("workers=%d trial %d: Rounds = %d, want %d", workers, trial, stats.Rounds, maxRounds)
+			}
+		}
 	}
 }

@@ -29,8 +29,7 @@ func TestWorkerBusyStatsQueued(t *testing.T) {
 		&slowSub{d: 2 * time.Millisecond, rounds: 4},
 		&slowSub{d: 2 * time.Millisecond, rounds: 4},
 	}
-	e := New(Config{Workers: 2, BatchSize: 1}, isolation.Options{Level: isolation.Asynchronous})
-	stats := e.Run(subs, nil)
+	stats := runJob(t, Config{Workers: 2}, isolation.Options{Level: isolation.Asynchronous}, JobConfig{BatchSize: 1}, subs)
 	// Total busy time across workers must cover the sleeps: 2 subs × 4
 	// rounds × 2ms = 16ms of mandatory work.
 	if stats.AvgWorkerBusy*2 < 14*time.Millisecond {
@@ -46,8 +45,7 @@ func TestWorkerBusyStatsSync(t *testing.T) {
 		&slowSub{d: 2 * time.Millisecond, rounds: 3},
 		&slowSub{d: 2 * time.Millisecond, rounds: 3},
 	}
-	e := New(Config{Workers: 2}, isolation.Options{Level: isolation.Synchronous})
-	stats := e.Run(subs, nil)
+	stats := runJob(t, Config{Workers: 2}, isolation.Options{Level: isolation.Synchronous}, JobConfig{}, subs)
 	if stats.AvgWorkerBusy < 5*time.Millisecond {
 		t.Fatalf("sync busy accounting lost time: avg %v", stats.AvgWorkerBusy)
 	}

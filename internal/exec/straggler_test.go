@@ -30,11 +30,9 @@ func TestSyncStragglerStallsEveryone(t *testing.T) {
 	// Pin the straggler's ownership: two single-worker regions without
 	// stealing, so worker 1 must process every odd-indexed sub itself and
 	// the pool cannot load-balance around it.
-	sync := New(Config{
-		Workers: 2, BatchSize: 2, IterationHook: hook,
-		Topology: numa.NewTopology(2, 2), DisableWorkStealing: true,
-	}, isolation.Options{Level: isolation.Synchronous})
-	syncStats := sync.Run(mkSubs(), nil)
+	syncStats := runJob(t,
+		Config{Workers: 2, Topology: numa.NewTopology(2, 2), DisableWorkStealing: true},
+		isolation.Options{Level: isolation.Synchronous}, JobConfig{BatchSize: 2, IterationHook: hook}, mkSubs())
 	// Worker 1 owns n/2 subs; each round costs it ≥ (n/2)·2ms, and the
 	// barrier makes the whole round that slow.
 	minSync := time.Duration(iters*(n/2)*2) * time.Millisecond
@@ -61,9 +59,8 @@ func TestAsyncProgressDespiteStraggler(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	e := New(Config{Workers: 2, BatchSize: 1, IterationHook: hook},
-		isolation.Options{Level: isolation.Asynchronous})
-	stats := e.Run(subs, nil)
+	stats := runJob(t, Config{Workers: 2}, isolation.Options{Level: isolation.Asynchronous},
+		JobConfig{BatchSize: 1, IterationHook: hook}, subs)
 	if stats.Commits != n*3 {
 		t.Fatalf("commits = %d", stats.Commits)
 	}
@@ -76,8 +73,7 @@ func TestAsyncProgressDespiteStraggler(t *testing.T) {
 // duplicate execution.
 func TestWorkersExceedSubs(t *testing.T) {
 	subs, recs := newCounterSubs(2, 3)
-	e := New(Config{Workers: 8, BatchSize: 4}, isolation.Options{Level: isolation.Asynchronous})
-	stats := e.Run(subs, nil)
+	stats := runJob(t, Config{Workers: 8}, isolation.Options{Level: isolation.Asynchronous}, JobConfig{BatchSize: 4}, subs)
 	if stats.Commits != 6 {
 		t.Fatalf("commits = %d, want 6", stats.Commits)
 	}
@@ -94,10 +90,10 @@ func TestWorkersExceedSubs(t *testing.T) {
 // not wedge its workers.
 func TestRegionWithNoSubs(t *testing.T) {
 	subs, _ := newCounterSubs(4, 2)
-	e := New(Config{Workers: 4, BatchSize: 1}, isolation.Options{Level: isolation.Asynchronous})
 	// Route everything to region 0; workers of other regions spin-yield
 	// until global completion.
-	stats := e.Run(subs, func(i int) int { return 0 })
+	stats := runJob(t, Config{Workers: 4}, isolation.Options{Level: isolation.Asynchronous},
+		JobConfig{BatchSize: 1, RegionOf: func(i int) int { return 0 }}, subs)
 	if stats.Commits != 8 {
 		t.Fatalf("commits = %d", stats.Commits)
 	}

@@ -19,14 +19,10 @@ func TestSnapshotMatchesStats(t *testing.T) {
 	const n, target = 300, 8
 	subs, _ := newCounterSubs(n, target)
 	o := obs.New()
-	e := New(Config{Workers: 4, BatchSize: 16, Observer: o},
-		isolation.Options{Level: isolation.Asynchronous})
-	stats := e.Run(subs, nil)
+	stats := runJob(t, Config{Workers: 4}, isolation.Options{Level: isolation.Asynchronous},
+		JobConfig{BatchSize: 16, Observer: o}, subs)
 
-	snap, ok := e.Snapshot()
-	if !ok {
-		t.Fatal("Snapshot() not available although an observer is configured")
-	}
+	snap := o.Snapshot()
 	if snap.Counters.Executions != stats.Executions {
 		t.Fatalf("snapshot executions %d != stats %d", snap.Counters.Executions, stats.Executions)
 	}
@@ -86,8 +82,8 @@ func TestSnapshotMatchesStats(t *testing.T) {
 func TestSnapshotRollbackSplit(t *testing.T) {
 	rec := storage.NewIterativeRecord(storage.Payload{0}, 1)
 	o := obs.New()
-	e := New(Config{Workers: 2, Observer: o}, isolation.Options{Level: isolation.Asynchronous})
-	stats := e.Run([]itx.Sub{&rollbackSub{rec: rec, failures: 3}}, nil)
+	stats := runJob(t, Config{Workers: 2}, isolation.Options{Level: isolation.Asynchronous},
+		JobConfig{Observer: o}, []itx.Sub{&rollbackSub{rec: rec, failures: 3}})
 	if stats.Rollbacks != 3 {
 		t.Fatalf("Rollbacks = %d", stats.Rollbacks)
 	}
@@ -104,8 +100,7 @@ func TestSnapshotSyncRounds(t *testing.T) {
 	const n, target = 40, 6
 	subs, _ := newCounterSubs(n, target)
 	o := obs.New()
-	e := New(Config{Workers: 3, Observer: o}, isolation.Options{Level: isolation.Synchronous})
-	stats := e.Run(subs, nil)
+	stats := runJob(t, Config{Workers: 3}, isolation.Options{Level: isolation.Synchronous}, JobConfig{Observer: o}, subs)
 	snap := o.Snapshot()
 	if want := int(stats.Rounds) + 1; len(snap.Convergence) != want {
 		t.Fatalf("sync series has %d points, want %d (rounds+initial)", len(snap.Convergence), want)
@@ -118,23 +113,18 @@ func TestSnapshotSyncRounds(t *testing.T) {
 	}
 }
 
-// TestSnapshotWithoutObserver: no observer, no snapshot — and the run is
-// unaffected.
+// TestSnapshotWithoutObserver: a job without an observer runs unaffected.
 func TestSnapshotWithoutObserver(t *testing.T) {
 	subs, _ := newCounterSubs(10, 3)
-	e := New(Config{Workers: 2}, isolation.Options{Level: isolation.Asynchronous})
-	stats := e.Run(subs, nil)
+	stats := runJob(t, Config{Workers: 2}, isolation.Options{Level: isolation.Asynchronous}, JobConfig{}, subs)
 	if stats.Commits != 30 {
 		t.Fatalf("Commits = %d", stats.Commits)
-	}
-	if _, ok := e.Snapshot(); ok {
-		t.Fatal("Snapshot() reported ok without an observer")
 	}
 }
 
 // alwaysRollbackSub never commits — the perpetual-rollback shape (e.g. a
 // sub-transaction SSP-throttled behind a straggler that never advances)
-// that used to livelock Run under MaxIterations.
+// that used to livelock a job under MaxIterations.
 type alwaysRollbackSub struct{}
 
 func (alwaysRollbackSub) Begin(ctx *itx.Ctx)               {}
@@ -144,20 +134,19 @@ func (alwaysRollbackSub) Validate(ctx *itx.Ctx) itx.Action { return itx.Rollback
 // TestAlwaysRollbackTerminates is the livelock regression test: a
 // sub-transaction that rolls back forever commits zero iterations, so the
 // committed-iteration cap alone never fires; the attempt backstop must
-// retire it and Run must return.
+// retire it and the job must finish.
 func TestAlwaysRollbackTerminates(t *testing.T) {
 	done := make(chan Stats, 1)
 	o := obs.New()
 	go func() {
-		e := New(Config{Workers: 2, MaxIterations: 5, Observer: o},
-			isolation.Options{Level: isolation.Asynchronous})
-		done <- e.Run([]itx.Sub{alwaysRollbackSub{}}, nil)
+		done <- runJob(t, Config{Workers: 2}, isolation.Options{Level: isolation.Asynchronous},
+			JobConfig{MaxIterations: 5, Observer: o}, []itx.Sub{alwaysRollbackSub{}})
 	}()
 	var stats Stats
 	select {
 	case stats = <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("Run livelocked on an always-rollback sub-transaction")
+		t.Fatal("job livelocked on an always-rollback sub-transaction")
 	}
 	if stats.Commits != 0 {
 		t.Fatalf("Commits = %d, want 0", stats.Commits)
@@ -179,8 +168,8 @@ func TestAlwaysRollbackTerminates(t *testing.T) {
 // TestMaxAttemptsExplicit: an explicit attempt cap works on its own, without
 // MaxIterations.
 func TestMaxAttemptsExplicit(t *testing.T) {
-	e := New(Config{Workers: 1, MaxAttempts: 7}, isolation.Options{Level: isolation.Asynchronous})
-	stats := e.Run([]itx.Sub{alwaysRollbackSub{}}, nil)
+	stats := runJob(t, Config{Workers: 1}, isolation.Options{Level: isolation.Asynchronous},
+		JobConfig{MaxAttempts: 7}, []itx.Sub{alwaysRollbackSub{}})
 	if stats.Executions != 7 || stats.ForcedStops != 1 {
 		t.Fatalf("Executions = %d, ForcedStops = %d; want 7, 1", stats.Executions, stats.ForcedStops)
 	}
@@ -190,8 +179,8 @@ func TestMaxAttemptsExplicit(t *testing.T) {
 // before the iteration cap on a sub-transaction that commits normally.
 func TestMaxIterationsStillCapsCommits(t *testing.T) {
 	rec := storage.NewIterativeRecord(storage.Payload{0}, 1)
-	e := New(Config{Workers: 2, MaxIterations: 12}, isolation.Options{Level: isolation.Asynchronous})
-	stats := e.Run([]itx.Sub{&neverDoneSub{rec: rec}}, nil)
+	stats := runJob(t, Config{Workers: 2}, isolation.Options{Level: isolation.Asynchronous},
+		JobConfig{MaxIterations: 12}, []itx.Sub{&neverDoneSub{rec: rec}})
 	if stats.Commits != 12 || stats.ForcedStops != 1 {
 		t.Fatalf("Commits = %d, ForcedStops = %d", stats.Commits, stats.ForcedStops)
 	}
@@ -224,9 +213,9 @@ func TestWorkStealingDrainsSkewedRegion(t *testing.T) {
 	}
 	o := obs.New()
 	top := numa.NewTopology(2, 4)
-	e := New(Config{Workers: 4, Topology: top, BatchSize: 1, Observer: o},
-		isolation.Options{Level: isolation.Asynchronous})
-	stats := e.Run(subs, func(i int) int { return 0 }) // all work in region 0
+	stats := runJob(t, Config{Workers: 4, Topology: top}, isolation.Options{Level: isolation.Asynchronous},
+		JobConfig{BatchSize: 1, Observer: o, RegionOf: func(i int) int { return 0 }}, // all work in region 0
+		subs)
 	if stats.Commits != n*target {
 		t.Fatalf("Commits = %d, want %d", stats.Commits, n*target)
 	}
@@ -253,9 +242,8 @@ func TestDisableWorkStealingConfinesWork(t *testing.T) {
 	subs, _ := newCounterSubs(16, 4)
 	o := obs.New()
 	top := numa.NewTopology(2, 4)
-	e := New(Config{Workers: 4, Topology: top, BatchSize: 2, DisableWorkStealing: true, Observer: o},
-		isolation.Options{Level: isolation.Asynchronous})
-	stats := e.Run(subs, func(i int) int { return 0 })
+	stats := runJob(t, Config{Workers: 4, Topology: top, DisableWorkStealing: true}, isolation.Options{Level: isolation.Asynchronous},
+		JobConfig{BatchSize: 2, Observer: o, RegionOf: func(i int) int { return 0 }}, subs)
 	if stats.Commits != 16*4 {
 		t.Fatalf("Commits = %d", stats.Commits)
 	}
@@ -291,8 +279,7 @@ func TestAvgWorkerBusyIgnoresIdleWorkers(t *testing.T) {
 // must not drag the average toward zero.
 func TestAvgWorkerBusyEndToEnd(t *testing.T) {
 	subs := []itx.Sub{&slowCounterSub{target: 4, d: 2 * time.Millisecond}}
-	e := New(Config{Workers: 8, BatchSize: 1}, isolation.Options{Level: isolation.Asynchronous})
-	stats := e.Run(subs, nil)
+	stats := runJob(t, Config{Workers: 8}, isolation.Options{Level: isolation.Asynchronous}, JobConfig{BatchSize: 1}, subs)
 	// One sub × 4 iterations × 2ms runs on few workers; averaging over all
 	// 8 would report < 1ms.
 	if stats.AvgWorkerBusy < 2*time.Millisecond {

@@ -82,6 +82,17 @@ func (o Options) workerSweep() []int {
 	return out
 }
 
+// newPool starts the worker pool a DB4ML run submits its job to; the
+// caller closes it. Pools start outside every timed region, like table
+// loads: the engine is resident before a job arrives.
+func newPool(cfg exec.Config) *exec.Pool {
+	p, err := exec.NewPool(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 // observe attaches a fresh observer (and the shared tracer/aggregator, when
 // configured) to cfg and returns a dump function that prints the run's
 // per-run summary line — p50/p95/p99 attempt latency, rollback ratio,
@@ -89,7 +100,7 @@ func (o Options) workerSweep() []int {
 // labelled JSON. With everything off, both the attachment and the dump are
 // no-ops. Callers collect the dump functions and invoke them after the
 // experiment's table has been flushed, so JSON never interleaves with rows.
-func (o Options) observe(cfg *exec.Config, label string) func() {
+func (o Options) observe(cfg *exec.JobConfig, label string) func() {
 	if !o.Telemetry && o.Aggregator == nil && o.Tracer == nil {
 		return func() {}
 	}

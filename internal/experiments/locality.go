@@ -43,16 +43,15 @@ func Locality(opts Options) error {
 
 	header(opts.Out, "Locality (extra): remote access fraction by partitioning scheme, 4 NUMA regions")
 	tw := tab(opts.Out, "graph", "scheme", "local", "remote", "remote fraction")
+	pool := newPool(exec.Config{Workers: 4, Topology: numa.NewTopology(4, 4)})
+	defer pool.Close()
 	for _, in := range inputs {
 		for _, scheme := range schemes {
 			var tr numa.Traffic
 			mgr, node, edge := loadPR(in.g)
 			if _, err := pagerank.Run(mgr, node, edge, pagerank.Config{
-				Exec: exec.Config{
-					Workers:       4,
-					Topology:      numa.NewTopology(4, 4),
-					MaxIterations: 2,
-				},
+				Exec:      exec.JobConfig{MaxIterations: 2},
+				Pool:      pool,
 				Isolation: isolation.Options{Level: isolation.Asynchronous},
 				Epsilon:   -1,
 				Partition: scheme,

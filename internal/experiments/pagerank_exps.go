@@ -49,13 +49,15 @@ func loadPR(g *graph.Graph) (*txn.Manager, *table.Table, *table.Table) {
 	return mgr, node, edge
 }
 
-// timedDB4ML measures pagerank.Run alone, averaged over runs: tables are
-// reloaded fresh outside the timed region (loading is not part of the
-// paper's measured runtime — the data is assumed resident in the DBMS),
-// while everything the uber-transaction itself does (spawning
-// sub-transactions, get_neighbors via the indexes, execution, commit)
-// stays inside it.
-func timedDB4ML(runs int, g *graph.Graph, cfg pagerank.Config) time.Duration {
+// timedDB4ML measures pagerank.Run alone on a pool built from pc, averaged
+// over runs: the pool starts and tables are reloaded fresh outside the
+// timed region (loading is not part of the paper's measured runtime — the
+// data is assumed resident in the DBMS), while everything the
+// uber-transaction itself does (spawning sub-transactions, get_neighbors
+// via the indexes, execution, commit) stays inside it.
+func timedDB4ML(runs int, g *graph.Graph, pc exec.Config, cfg pagerank.Config) time.Duration {
+	cfg.Pool = newPool(pc)
+	defer cfg.Pool.Close()
 	var total time.Duration
 	for r := 0; r < runs; r++ {
 		mgr, node, edge := loadPR(g)
@@ -84,8 +86,8 @@ func Fig1(opts Options) error {
 
 	var db4mlTime, galoisTime, madlibTime time.Duration
 
-	db4mlTime = timedDB4ML(opts.Runs, g, pagerank.Config{
-		Exec:      exec.Config{Workers: workers, MaxIterations: uint64(iters)},
+	db4mlTime = timedDB4ML(opts.Runs, g, exec.Config{Workers: workers}, pagerank.Config{
+		Exec:      exec.JobConfig{MaxIterations: uint64(iters)},
 		Isolation: isolation.Options{Level: isolation.Synchronous},
 		Epsilon:   -1,
 	})
@@ -147,7 +149,7 @@ func Fig8(opts Options) error {
 		var base1, base2 time.Duration
 		for _, w := range sweep {
 			cfg := pagerank.Config{
-				Exec:      exec.Config{Workers: w, MaxIterations: uint64(iters)},
+				Exec:      exec.JobConfig{MaxIterations: uint64(iters)},
 				Isolation: isolation.Options{Level: isolation.Synchronous},
 				Epsilon:   -1,
 			}
@@ -156,7 +158,7 @@ func Fig8(opts Options) error {
 			if w == sweep[len(sweep)-1] {
 				dumps = append(dumps, opts.observe(&cfg.Exec, fmt.Sprintf("fig8 %s %d workers", name, w)))
 			}
-			dbt := timedDB4ML(opts.Runs, g, cfg)
+			dbt := timedDB4ML(opts.Runs, g, exec.Config{Workers: w}, cfg)
 			gat := timed(opts.Runs, func() {
 				galois.PageRank(g, galois.Config{Workers: w, Epsilon: 0, MaxIters: iters})
 			})
@@ -201,11 +203,13 @@ func Fig9(opts Options) error {
 	// Ground truth: converged synchronous ranking (the paper's baseline
 	// for pair-wise accuracy).
 	mgr, node, edge := loadPR(g)
+	truthPool := newPool(exec.Config{Workers: workers})
 	truth, err := pagerank.Run(mgr, node, edge, pagerank.Config{
-		Exec:      exec.Config{Workers: workers},
+		Pool:      truthPool,
 		Isolation: isolation.Options{Level: isolation.Synchronous},
 		Epsilon:   1e-10,
 	})
+	truthPool.Close()
 	if err != nil {
 		return err
 	}
@@ -236,19 +240,17 @@ func Fig9(opts Options) error {
 	header(opts.Out, fmt.Sprintf("Figure 9: isolation levels on gplus stand-in (%d nodes, %d iterations, %d workers)",
 		g.NumNodes(), iters, workers))
 	tw := tab(opts.Out, "straggler", "isolation", "avg worker runtime", "rank accuracy", "pairwise accuracy")
+	// One region per worker: each worker owns its range partition of the
+	// nodes, so a straggling worker's partition actually lags (the paper's
+	// workers are pinned to cores with partitioned data).
+	pool := newPool(exec.Config{Workers: workers, Topology: numa.NewTopology(workers, workers)})
+	defer pool.Close()
 	var dumps []func()
 	for _, withStraggler := range []bool{false, true} {
 		for _, lv := range levels {
 			cfg := pagerank.Config{
-				Exec: exec.Config{
-					Workers: workers,
-					// One region per worker: each worker owns its range
-					// partition of the nodes, so a straggling worker's
-					// partition actually lags (the paper's workers are
-					// pinned to cores with partitioned data).
-					Topology:      numa.NewTopology(workers, workers),
-					MaxIterations: iters,
-				},
+				Exec:      exec.JobConfig{MaxIterations: iters},
+				Pool:      pool,
 				Isolation: lv.iso,
 				Epsilon:   -1,
 			}
@@ -289,8 +291,11 @@ func Fig10a(opts Options) error {
 	}
 	var execNanos atomic.Int64
 	mgr, node, edge := loadPR(g)
+	pool := newPool(exec.Config{Workers: 1})
+	defer pool.Close()
 	res, err := pagerank.Run(mgr, node, edge, pagerank.Config{
-		Exec:         exec.Config{Workers: 1, BatchSize: 1, MaxIterations: iters},
+		Exec:         exec.JobConfig{BatchSize: 1, MaxIterations: iters},
+		Pool:         pool,
 		Isolation:    isolation.Options{Level: isolation.Asynchronous},
 		Epsilon:      -1,
 		ExecuteNanos: &execNanos,
@@ -334,8 +339,8 @@ func Fig10b(opts Options) error {
 		g := prGraph(name, opts.Quick)
 		times := make(map[int]time.Duration, len(batches))
 		for _, bs := range batches {
-			times[bs] = timedDB4ML(opts.Runs, g, pagerank.Config{
-				Exec:      exec.Config{Workers: opts.MaxWorkers / 2, BatchSize: bs, MaxIterations: iters},
+			times[bs] = timedDB4ML(opts.Runs, g, exec.Config{Workers: opts.MaxWorkers / 2}, pagerank.Config{
+				Exec:      exec.JobConfig{BatchSize: bs, MaxIterations: iters},
 				Isolation: isolation.Options{Level: isolation.Asynchronous},
 				Epsilon:   -1,
 			})

@@ -94,9 +94,11 @@ func runDB4ML(data sgdData, workers, epochs int) sgdRunResult {
 	if err != nil {
 		panic(err)
 	}
+	pool := newPool(exec.Config{Workers: workers})
+	defer pool.Close()
 	t0 := time.Now()
 	res, err := sgd.Run(mgr, tables, sgd.Config{
-		Exec:   exec.Config{Workers: workers},
+		Pool:   pool,
 		Epochs: epochs, Lambda: data.lambda, Seed: 1,
 		Mode: sgd.ReplicatedNUMA,
 	})

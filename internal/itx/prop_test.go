@@ -11,6 +11,21 @@ import (
 	"db4ml/internal/itx"
 )
 
+// runJob runs subs as one job on a fresh 4-worker pool: NewPool, Submit,
+// Wait, Close.
+func runJob(jc exec.JobConfig, opts isolation.Options, subs []itx.Sub) (exec.Stats, error) {
+	p, err := exec.NewPool(exec.Config{Workers: 4})
+	if err != nil {
+		return exec.Stats{}, err
+	}
+	defer p.Close()
+	j, err := p.Submit(subs, opts, jc)
+	if err != nil {
+		return exec.Stats{}, err
+	}
+	return j.Wait()
+}
+
 // scriptedSub replays a precomputed verdict plan: attempt k returns
 // plan[k], and the plan always ends with Done. Because the executor must
 // repeat rolled-back attempts and advance committed ones in order, the
@@ -80,10 +95,10 @@ func TestScriptedAccountingProperty(t *testing.T) {
 							}
 						}
 					}
-					stats, err := exec.Run(
-						exec.Config{Workers: 4, BatchSize: batch},
+					stats, err := runJob(
+						exec.JobConfig{BatchSize: batch},
 						isolation.Options{Level: level, Staleness: 2},
-						subs, nil)
+						subs)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -135,10 +150,10 @@ func TestAttemptCapAccounting(t *testing.T) {
 		for i := range subs {
 			subs[i] = &fixedVerdictSub{verdict: itx.Rollback}
 		}
-		stats, err := exec.Run(
-			exec.Config{Workers: 4, BatchSize: 2, MaxAttempts: cap},
+		stats, err := runJob(
+			exec.JobConfig{BatchSize: 2, MaxAttempts: cap},
 			isolation.Options{Level: level, Staleness: 2},
-			subs, nil)
+			subs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,10 +185,10 @@ func TestIterationCapAccounting(t *testing.T) {
 	for i := range subs {
 		subs[i] = &fixedVerdictSub{verdict: itx.Commit}
 	}
-	stats, err := exec.Run(
-		exec.Config{Workers: 4, BatchSize: 2, MaxIterations: cap},
+	stats, err := runJob(
+		exec.JobConfig{BatchSize: 2, MaxIterations: cap},
 		isolation.Options{Level: isolation.Asynchronous},
-		subs, nil)
+		subs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,10 +208,10 @@ func TestIterationCapAccounting(t *testing.T) {
 		}
 		alt[i] = &scriptedSub{plan: plan, over: &over}
 	}
-	stats, err = exec.Run(
-		exec.Config{Workers: 4, BatchSize: 2, MaxIterations: cap},
+	stats, err = runJob(
+		exec.JobConfig{BatchSize: 2, MaxIterations: cap},
 		isolation.Options{Level: isolation.Asynchronous},
-		alt, nil)
+		alt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,7 +114,12 @@ func LoadTables(mgr *txn.Manager, points [][]float64, k int) (*Tables, error) {
 
 // Config tunes one k-means uber-transaction.
 type Config struct {
-	Exec exec.Config
+	// Exec configures the job (batch size, caps, deadline, telemetry).
+	Exec exec.JobConfig
+	// Pool is the worker pool Run submits the job to; its worker count is
+	// the number of sub-transactions. Run returns exec.ErrNoPool without
+	// one.
+	Pool *exec.Pool
 	// Epochs is the number of passes each sub-transaction makes over its
 	// partition; defaults to 10.
 	Epochs int
@@ -209,6 +214,9 @@ func (s *sub) Validate(ctx *itx.Ctx) itx.Action {
 // Run executes mini-batch k-means as one uber-transaction and commits the
 // centroids.
 func Run(mgr *txn.Manager, tables *Tables, cfg Config) (Result, error) {
+	if cfg.Pool == nil {
+		return Result{}, exec.ErrNoPool
+	}
 	cfg = cfg.withDefaults()
 	iso := isolation.Options{Level: isolation.Asynchronous}
 	u, err := itx.BeginUber(mgr, iso)
@@ -219,7 +227,7 @@ func Run(mgr *txn.Manager, tables *Tables, cfg Config) (Result, error) {
 		_ = u.Abort()
 		return Result{}, err
 	}
-	workers := cfg.Exec.Resolved().Workers
+	workers := cfg.Pool.Workers()
 	if workers > len(tables.Data) {
 		workers = len(tables.Data)
 	}
@@ -239,8 +247,16 @@ func Run(mgr *txn.Manager, tables *Tables, cfg Config) (Result, error) {
 			epochs: cfg.Epochs, frac: cfg.BatchFraction, seed: cfg.Seed + int64(w),
 		}
 	}
-	engine := exec.New(cfg.Exec, iso)
-	stats := engine.Run(subs, nil)
+	j, err := cfg.Pool.Submit(subs, iso, cfg.Exec)
+	if err != nil {
+		_ = u.Abort()
+		return Result{}, err
+	}
+	stats, err := j.Wait()
+	if err != nil {
+		_ = u.Abort()
+		return Result{}, err
+	}
 	ts, err := u.Commit()
 	if err != nil {
 		return Result{}, err

@@ -7,6 +7,17 @@ import (
 	"db4ml/internal/txn"
 )
 
+// newPool starts a worker pool that is closed when the test ends.
+func newPool(t *testing.T, cfg exec.Config) *exec.Pool {
+	t.Helper()
+	p, err := exec.NewPool(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	return p
+}
+
 func TestGaussianMixtureShapes(t *testing.T) {
 	pts, labels, centers := GaussianMixture(500, 3, 4, 0.5, 1)
 	if len(pts) != 500 || len(labels) != 500 || len(centers) != 3 {
@@ -76,7 +87,7 @@ func TestClusteringRecoversWellSeparatedClusters(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(mgr, tables, Config{
-		Exec:   exec.Config{Workers: 4},
+		Pool:   newPool(t, exec.Config{Workers: 4}),
 		Epochs: 8, Seed: 7,
 	})
 	if err != nil {
@@ -114,7 +125,7 @@ func TestInertiaImprovesOverSeeding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	short, err := Run(mgr, tables, Config{Exec: exec.Config{Workers: 2}, Epochs: 1, Seed: 11})
+	short, err := Run(mgr, tables, Config{Pool: newPool(t, exec.Config{Workers: 2}), Epochs: 1, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +135,7 @@ func TestInertiaImprovesOverSeeding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, err := Run(mgr2, tables2, Config{Exec: exec.Config{Workers: 2}, Epochs: 12, Seed: 11})
+	long, err := Run(mgr2, tables2, Config{Pool: newPool(t, exec.Config{Workers: 2}), Epochs: 12, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +151,7 @@ func TestResultCommitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(mgr, tables, Config{Exec: exec.Config{Workers: 2}, Epochs: 3, Seed: 5})
+	res, err := Run(mgr, tables, Config{Pool: newPool(t, exec.Config{Workers: 2}), Epochs: 3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

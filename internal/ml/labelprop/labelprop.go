@@ -56,7 +56,11 @@ func LoadTable(mgr *txn.Manager, g *graph.Graph) (*table.Table, error) {
 
 // Config tunes one components run.
 type Config struct {
-	Exec exec.Config
+	// Exec configures the job (batch size, caps, deadline, telemetry).
+	Exec exec.JobConfig
+	// Pool is the worker pool Run submits the job to; Run returns
+	// exec.ErrNoPool without one.
+	Pool *exec.Pool
 	// Isolation level; Synchronous (default) gives the exact component
 	// labeling. Asynchronous usually converges too (min is monotone) and
 	// is faster, but per-node retirement can freeze a label early on
@@ -125,6 +129,9 @@ func (s *sub) Validate(ctx *itx.Ctx) itx.Action {
 // Run computes connected components of g's undirected view as one
 // uber-transaction and commits the labels.
 func Run(mgr *txn.Manager, tbl *table.Table, g *graph.Graph, cfg Config) (Result, error) {
+	if cfg.Pool == nil {
+		return Result{}, exec.ErrNoPool
+	}
 	if cfg.Isolation.Level == isolation.Synchronous {
 		cfg.Exec.ConvergeTogether = true
 	}
@@ -151,8 +158,16 @@ func Run(mgr *txn.Manager, tbl *table.Table, g *graph.Graph, cfg Config) (Result
 		}
 		subs[v] = &sub{tbl: tbl, row: table.RowID(v), nbrRows: rows}
 	}
-	engine := exec.New(cfg.Exec, cfg.Isolation)
-	stats := engine.Run(subs, nil)
+	j, err := cfg.Pool.Submit(subs, cfg.Isolation, cfg.Exec)
+	if err != nil {
+		_ = u.Abort()
+		return Result{}, err
+	}
+	stats, err := j.Wait()
+	if err != nil {
+		_ = u.Abort()
+		return Result{}, err
+	}
 	ts, err := u.Commit()
 	if err != nil {
 		return Result{}, err

@@ -10,6 +10,17 @@ import (
 )
 
 // threeComponents: {0,1,2} chained, {3,4} chained, {5} isolated.
+// newPool starts a worker pool that is closed when the test ends.
+func newPool(t *testing.T, cfg exec.Config) *exec.Pool {
+	t.Helper()
+	p, err := exec.NewPool(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	return p
+}
+
 func threeComponents(t *testing.T) *graph.Graph {
 	t.Helper()
 	g, err := graph.FromEdges(6, []graph.Edge{{From: 2, To: 1}, {From: 1, To: 0}, {From: 4, To: 3}})
@@ -38,7 +49,7 @@ func TestSyncComponentsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(mgr, tbl, g, Config{
-		Exec:      exec.Config{Workers: 2},
+		Pool:      newPool(t, exec.Config{Workers: 2}),
 		Isolation: isolation.Options{Level: isolation.Synchronous},
 	})
 	if err != nil {
@@ -73,7 +84,7 @@ func TestSyncLongPathPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(mgr, tbl, g, Config{
-		Exec:      exec.Config{Workers: 4},
+		Pool:      newPool(t, exec.Config{Workers: 4}),
 		Isolation: isolation.Options{Level: isolation.Synchronous},
 	})
 	if err != nil {
@@ -100,7 +111,7 @@ func TestComponentsOnGeneratedGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(mgr, tbl, g, Config{
-		Exec:      exec.Config{Workers: 4},
+		Pool:      newPool(t, exec.Config{Workers: 4}),
 		Isolation: isolation.Options{Level: isolation.Synchronous},
 	})
 	if err != nil {
@@ -125,7 +136,8 @@ func TestAsyncComponentsConverge(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(mgr, tbl, g, Config{
-		Exec:      exec.Config{Workers: 4, BatchSize: 16},
+		Exec:      exec.JobConfig{BatchSize: 16},
+		Pool:      newPool(t, exec.Config{Workers: 4}),
 		Isolation: isolation.Options{Level: isolation.Asynchronous},
 	})
 	if err != nil {

@@ -32,11 +32,8 @@ func trafficFor(t *testing.T, scheme partition.Scheme) *numa.Traffic {
 	mgr, node, edge := load(t, g)
 	var tr numa.Traffic
 	_, err := Run(mgr, node, edge, Config{
-		Exec: exec.Config{
-			Workers:       4,
-			Topology:      numa.NewTopology(4, 4),
-			MaxIterations: 2,
-		},
+		Exec:      exec.JobConfig{MaxIterations: 2},
+		Pool:      newPool(t, exec.Config{Workers: 4, Topology: numa.NewTopology(4, 4)}),
 		Isolation: isolation.Options{Level: isolation.Asynchronous},
 		Epsilon:   -1,
 		Partition: scheme,

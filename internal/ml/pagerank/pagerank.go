@@ -82,13 +82,14 @@ func LoadTables(mgr *txn.Manager, g *graph.Graph) (node, edge *table.Table, err 
 
 // Config tunes one PageRank uber-transaction.
 type Config struct {
-	// Exec configures the executor (workers, topology, batch size,
-	// MaxIterations cap, straggler hook).
-	Exec exec.Config
-	// Pool, when non-nil, runs the uber-transaction as one job on this
-	// shared worker pool (alongside other concurrent jobs) instead of a
-	// throwaway per-run pool; the pool then fixes workers and topology,
-	// and only the per-job fields of Exec apply.
+	// Exec configures the job (batch size, MaxIterations cap, straggler
+	// hook, telemetry); Run routes sub-transactions itself, so RegionOf is
+	// ignored.
+	Exec exec.JobConfig
+	// Pool is the worker pool Run submits the job to; Run returns
+	// exec.ErrNoPool without one. Its topology also drives BuildSubs' NUMA
+	// partitioning; without a pool BuildSubs partitions for the default
+	// topology, exec.Config{}.Resolved().Topology.
 	Pool *exec.Pool
 	// Isolation selects the ML isolation level. PageRank is single-writer
 	// per tuple, so SingleWriterHint is forced on unless Versions
@@ -97,7 +98,7 @@ type Config struct {
 	// Damping defaults to 0.85 (the paper's choice).
 	Damping float64
 	// Epsilon is the per-node convergence threshold; defaults to 1e-9.
-	// With exec.Config.MaxIterations set, epsilon may be 0 to run a fixed
+	// With Exec.MaxIterations set, epsilon may be 0 to run a fixed
 	// number of iterations (Figures 9 and 10).
 	Epsilon float64
 	// Versions, when nonzero, overrides the number of snapshot slots per
@@ -211,17 +212,17 @@ func (c Config) Normalized() Config {
 
 // BuildSubs constructs the per-node iterative sub-transactions of
 // Algorithm 1 at snapshot ts — out-degrees, in-neighbor handles, NUMA
-// partitioning — returning the subs plus the region router for
-// exec.RunOn. cfg must already be Normalized. It is exported so the plan
-// layer's iterate node runs the byte-identical body Run would, which is
-// what makes "PageRank as a plan node matches direct submission exactly"
-// checkable rather than approximate.
+// partitioning — returning the subs plus the job's region router
+// (JobConfig.RegionOf). cfg must already be Normalized. It is exported so
+// the plan layer's iterate node runs the byte-identical body Run would,
+// which is what makes "PageRank as a plan node matches direct submission
+// exactly" checkable rather than approximate.
 func BuildSubs(node, edge *table.Table, ts storage.Timestamp, cfg Config) ([]itx.Sub, func(int) int, error) {
 	n := node.NumRows()
 	base := (1 - cfg.Damping) / float64(n)
 	// Partition nodes across NUMA regions (range partitioning, like the
 	// baselines) and route each sub-transaction to its region's queue.
-	topo := cfg.Exec.Resolved().Topology
+	topo := exec.Config{}.Resolved().Topology
 	if cfg.Pool != nil {
 		topo = cfg.Pool.Topology()
 	}
@@ -261,6 +262,9 @@ func BuildSubs(node, edge *table.Table, ts storage.Timestamp, cfg Config) ([]itx
 // commits the result, making it globally visible. Node RowIDs must equal
 // node ids (as produced by LoadTables).
 func Run(mgr *txn.Manager, node, edge *table.Table, cfg Config) (Result, error) {
+	if cfg.Pool == nil {
+		return Result{}, exec.ErrNoPool
+	}
 	cfg = cfg.Normalized()
 
 	u, err := itx.BeginUber(mgr, cfg.Isolation)
@@ -281,7 +285,14 @@ func Run(mgr *txn.Manager, node, edge *table.Table, cfg Config) (Result, error) 
 		_ = u.Abort()
 		return Result{}, err
 	}
-	stats, err := exec.RunOn(cfg.Pool, cfg.Exec, cfg.Isolation, subs, regionOf)
+	jc := cfg.Exec
+	jc.RegionOf = regionOf
+	j, err := cfg.Pool.Submit(subs, cfg.Isolation, jc)
+	if err != nil {
+		_ = u.Abort()
+		return Result{}, err
+	}
+	stats, err := j.Wait()
 	if err != nil {
 		_ = u.Abort()
 		return Result{}, err

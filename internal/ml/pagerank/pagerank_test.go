@@ -21,6 +21,17 @@ func load(t *testing.T, g *graph.Graph) (*txn.Manager, *table.Table, *table.Tabl
 	return mgr, node, edge
 }
 
+// newPool starts a worker pool that is closed when the test ends.
+func newPool(t *testing.T, cfg exec.Config) *exec.Pool {
+	t.Helper()
+	p, err := exec.NewPool(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	return p
+}
+
 func diamondGraph(t *testing.T) *graph.Graph {
 	t.Helper()
 	g, err := graph.FromEdges(4, []graph.Edge{{From: 0, To: 1}, {From: 0, To: 2}, {From: 1, To: 3}, {From: 2, To: 3}, {From: 3, To: 0}})
@@ -51,7 +62,8 @@ func TestSyncMatchesReference(t *testing.T) {
 	mgr, node, edge := load(t, g)
 	want, _ := graph.PageRankRef(g, 0.85, 1e-12, 500)
 	res, err := Run(mgr, node, edge, Config{
-		Exec:      exec.Config{Workers: 2, BatchSize: 2},
+		Exec:      exec.JobConfig{BatchSize: 2},
+		Pool:      newPool(t, exec.Config{Workers: 2}),
 		Isolation: isolation.Options{Level: isolation.Synchronous},
 		Epsilon:   1e-12,
 	})
@@ -71,7 +83,7 @@ func TestSyncMatchesReferenceGenerated(t *testing.T) {
 	mgr, node, edge := load(t, g)
 	want, _ := graph.PageRankRef(g, 0.85, 1e-10, 300)
 	res, err := Run(mgr, node, edge, Config{
-		Exec:      exec.Config{Workers: 4},
+		Pool:      newPool(t, exec.Config{Workers: 4}),
 		Isolation: isolation.Options{Level: isolation.Synchronous},
 		Epsilon:   1e-10,
 	})
@@ -88,7 +100,8 @@ func TestAsyncConvergesToReferenceRanking(t *testing.T) {
 	mgr, node, edge := load(t, g)
 	want, _ := graph.PageRankRef(g, 0.85, 1e-10, 300)
 	res, err := Run(mgr, node, edge, Config{
-		Exec:      exec.Config{Workers: 4, BatchSize: 64},
+		Exec:      exec.JobConfig{BatchSize: 64},
+		Pool:      newPool(t, exec.Config{Workers: 4}),
 		Isolation: isolation.Options{Level: isolation.Asynchronous},
 		Epsilon:   1e-10,
 	})
@@ -109,7 +122,8 @@ func TestBoundedStalenessConverges(t *testing.T) {
 	mgr, node, edge := load(t, g)
 	want, _ := graph.PageRankRef(g, 0.85, 1e-10, 300)
 	res, err := Run(mgr, node, edge, Config{
-		Exec:      exec.Config{Workers: 4, BatchSize: 32},
+		Exec:      exec.JobConfig{BatchSize: 32},
+		Pool:      newPool(t, exec.Config{Workers: 4}),
 		Isolation: isolation.Options{Level: isolation.BoundedStaleness, Staleness: 10},
 		Epsilon:   1e-10,
 	})
@@ -128,7 +142,8 @@ func TestGeneralMultiVersionPath(t *testing.T) {
 	mgr, node, edge := load(t, g)
 	want, _ := graph.PageRankRef(g, 0.85, 1e-10, 300)
 	res, err := Run(mgr, node, edge, Config{
-		Exec:      exec.Config{Workers: 2, BatchSize: 16},
+		Exec:      exec.JobConfig{BatchSize: 16},
+		Pool:      newPool(t, exec.Config{Workers: 2}),
 		Isolation: isolation.Options{Level: isolation.BoundedStaleness, Staleness: 16},
 		Epsilon:   1e-10,
 		Versions:  18,
@@ -145,7 +160,8 @@ func TestFixedIterations(t *testing.T) {
 	g := graph.ErdosRenyi(100, 500, 3)
 	mgr, node, edge := load(t, g)
 	res, err := Run(mgr, node, edge, Config{
-		Exec:      exec.Config{Workers: 2, MaxIterations: 6},
+		Exec:      exec.JobConfig{MaxIterations: 6},
+		Pool:      newPool(t, exec.Config{Workers: 2}),
 		Isolation: isolation.Options{Level: isolation.Synchronous},
 		Epsilon:   -1, // never converge on epsilon
 	})
@@ -164,7 +180,7 @@ func TestResultCommittedAndVisibleToOLTP(t *testing.T) {
 	g := diamondGraph(t)
 	mgr, node, edge := load(t, g)
 	res, err := Run(mgr, node, edge, Config{
-		Exec:      exec.Config{Workers: 2},
+		Pool:      newPool(t, exec.Config{Workers: 2}),
 		Isolation: isolation.Options{Level: isolation.Synchronous},
 		Epsilon:   1e-10,
 	})
@@ -194,11 +210,11 @@ func TestStragglerHookRuns(t *testing.T) {
 	mgr, node, edge := load(t, g)
 	hooks := 0
 	_, err := Run(mgr, node, edge, Config{
-		Exec: exec.Config{
-			Workers:       1,
+		Exec: exec.JobConfig{
 			MaxIterations: 3,
 			IterationHook: func(worker int) { hooks++ },
 		},
+		Pool:      newPool(t, exec.Config{Workers: 1}),
 		Isolation: isolation.Options{Level: isolation.Asynchronous},
 		Epsilon:   -1,
 	})

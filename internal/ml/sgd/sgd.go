@@ -118,11 +118,13 @@ const (
 // Config tunes one SGD uber-transaction; zero values take the paper's
 // settings (20 epochs, step 5e-2, decay 0.8, asynchronous isolation).
 type Config struct {
-	Exec exec.Config
-	// Pool, when non-nil, runs the uber-transaction as one job on this
-	// shared worker pool (alongside other concurrent jobs) instead of a
-	// throwaway per-run pool; the pool then fixes workers and topology,
-	// and only the per-job fields of Exec apply.
+	// Exec configures the job (batch size, caps, telemetry); Run routes
+	// each sub-transaction to its worker's region itself, so RegionOf is
+	// ignored.
+	Exec exec.JobConfig
+	// Pool is the worker pool Run submits the job to; its worker count is
+	// the number of sub-transactions and its topology places them. Run
+	// returns exec.ErrNoPool without one.
 	Pool *exec.Pool
 	// Isolation overrides the ML isolation level; nil keeps the paper's
 	// Hogwild!-style asynchronous default. (A pointer, because the zero
@@ -303,18 +305,15 @@ func BuildSubs(tables *Tables, ts storage.Timestamp, nSubs int, cfg Config) ([]i
 // Run executes SGD as one uber-transaction over tables and commits the
 // trained model.
 func Run(mgr *txn.Manager, tables *Tables, cfg Config) (Result, error) {
+	if cfg.Pool == nil {
+		return Result{}, exec.ErrNoPool
+	}
 	cfg = cfg.withDefaults()
 	iso := isolation.Options{Level: isolation.Asynchronous}
 	if cfg.Isolation != nil {
 		iso = *cfg.Isolation
 	}
-	resolved := cfg.Exec.Resolved()
-	topo := resolved.Topology
-	workers := resolved.Workers
-	if cfg.Pool != nil {
-		topo = cfg.Pool.Topology()
-		workers = cfg.Pool.Workers()
-	}
+	topo := cfg.Pool.Topology()
 	regions := topo.Regions
 
 	// Replica tables must exist before the uber-transaction fixes its
@@ -345,7 +344,7 @@ func Run(mgr *txn.Manager, tables *Tables, cfg Config) (Result, error) {
 
 	// One sub-transaction per worker core (Algorithm 3), each owning a
 	// contiguous key range of the shuffled Sample table.
-	nSubs := workers
+	nSubs := cfg.Pool.Workers()
 	rows := len(tables.Store)
 	if nSubs > rows {
 		nSubs = rows
@@ -373,7 +372,14 @@ func Run(mgr *txn.Manager, tables *Tables, cfg Config) (Result, error) {
 		}
 		seenRegion[region] = true
 	}
-	stats, err := exec.RunOn(cfg.Pool, cfg.Exec, iso, subs, func(i int) int { return topo.RegionOf(i) })
+	jc := cfg.Exec
+	jc.RegionOf = topo.RegionOf
+	j, err := cfg.Pool.Submit(subs, iso, jc)
+	if err != nil {
+		_ = u.Abort()
+		return Result{}, err
+	}
+	stats, err := j.Wait()
 	if err != nil {
 		_ = u.Abort()
 		return Result{}, err

@@ -10,6 +10,17 @@ import (
 	"db4ml/internal/txn"
 )
 
+// newPool starts a worker pool that is closed when the test ends.
+func newPool(t *testing.T, cfg exec.Config) *exec.Pool {
+	t.Helper()
+	p, err := exec.NewPool(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	return p
+}
+
 func dataset(t *testing.T) ([]svm.Sample, []svm.Sample, int) {
 	t.Helper()
 	const features = 30
@@ -54,7 +65,7 @@ func TestSharedModelLearns(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(mgr, tables, Config{
-		Exec:   exec.Config{Workers: 4},
+		Pool:   newPool(t, exec.Config{Workers: 4}),
 		Epochs: 12, Lambda: 1e-5, Seed: 1,
 	})
 	if err != nil {
@@ -77,7 +88,7 @@ func TestReplicatedNUMALearns(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(mgr, tables, Config{
-		Exec:   exec.Config{Workers: 4, Topology: numa.NewTopology(2, 4)},
+		Pool:   newPool(t, exec.Config{Workers: 4, Topology: numa.NewTopology(2, 4)}),
 		Epochs: 12, Lambda: 1e-5, Seed: 1, Mode: ReplicatedNUMA,
 	})
 	if err != nil {
@@ -97,7 +108,7 @@ func TestModelInvisibleUntilCommit(t *testing.T) {
 	}
 	preTS := mgr.Stable()
 	res, err := Run(mgr, tables, Config{
-		Exec: exec.Config{Workers: 2}, Epochs: 2, Seed: 1,
+		Pool: newPool(t, exec.Config{Workers: 2}), Epochs: 2, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +133,7 @@ func TestSingleWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(mgr, tables, Config{
-		Exec: exec.Config{Workers: 1}, Epochs: 12, Lambda: 1e-5, Seed: 1,
+		Pool: newPool(t, exec.Config{Workers: 1}), Epochs: 12, Lambda: 1e-5, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +149,7 @@ func TestEmptyTrainingSetRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(mgr, tables, Config{Exec: exec.Config{Workers: 2}}); err == nil {
+	if _, err := Run(mgr, tables, Config{Pool: newPool(t, exec.Config{Workers: 2})}); err == nil {
 		t.Fatal("empty training set accepted")
 	}
 }
@@ -183,7 +194,7 @@ func TestOLTPCanQueryModelAfterCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(mgr, tables, Config{Exec: exec.Config{Workers: 2}, Epochs: 3, Seed: 1})
+	res, err := Run(mgr, tables, Config{Pool: newPool(t, exec.Config{Workers: 2}), Epochs: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

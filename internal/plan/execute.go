@@ -234,6 +234,9 @@ func (p *Prepared) runIterates(ctx context.Context, n *Node, iterTS map[*Node]st
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	if p.env.Pool == nil {
+		return exec.ErrNoPool
+	}
 	spec := n.iter
 	u, err := itx.BeginUber(p.env.Mgr, spec.Isolation)
 	if err != nil {
@@ -244,6 +247,7 @@ func (p *Prepared) runIterates(ctx context.Context, n *Node, iterTS map[*Node]st
 		versions = u.DefaultVersions()
 	}
 	if err := u.Attach(spec.Table, nil, versions); err != nil {
+		_ = u.Abort()
 		return err
 	}
 	subs, regionOf, err := spec.Build(u.Snapshot())
@@ -251,7 +255,14 @@ func (p *Prepared) runIterates(ctx context.Context, n *Node, iterTS map[*Node]st
 		_ = u.Abort()
 		return err
 	}
-	stats, err := exec.RunOn(p.env.Pool, spec.Exec, spec.Isolation, subs, regionOf)
+	jc := spec.Exec
+	jc.RegionOf = regionOf
+	j, err := p.env.Pool.Submit(subs, spec.Isolation, jc)
+	if err != nil {
+		_ = u.Abort()
+		return err
+	}
+	stats, err := j.Wait()
 	if err != nil {
 		_ = u.Abort()
 		return err

@@ -172,10 +172,11 @@ type IterateSpec struct {
 	Versions int
 	// Isolation selects the ML isolation level for the job.
 	Isolation isolation.Options
-	// Exec configures the executor (batch size, iteration caps, ...).
-	Exec exec.Config
+	// Exec configures the job (batch size, iteration caps, ...); the
+	// region router comes from Build, so RegionOf is ignored.
+	Exec exec.JobConfig
 	// Build constructs the sub-transactions at the uber-transaction's
-	// snapshot, returning the subs and the region router for exec.RunOn.
+	// snapshot, returning the subs and the job's region router.
 	// The convergence predicate lives inside the subs' Validate, exactly
 	// as in a directly submitted job (e.g. pagerank.BuildSubs).
 	Build func(ts storage.Timestamp) ([]itx.Sub, func(int) int, error)

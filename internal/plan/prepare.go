@@ -15,8 +15,8 @@ type Env struct {
 	// Mgr is required: table scans pin their snapshot in its registry and
 	// iterate nodes begin their uber-transaction through it.
 	Mgr *txn.Manager
-	// Pool, when non-nil, runs iterate bodies on this shared worker pool;
-	// nil uses a throwaway per-job pool (exec.RunOn semantics).
+	// Pool runs iterate bodies as jobs; a plan with an iterate node fails
+	// with exec.ErrNoPool without one.
 	Pool *exec.Pool
 	// Obs, when non-nil, receives PlanQueries/PlanRows counters and the
 	// query latency histogram.

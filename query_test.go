@@ -264,8 +264,13 @@ func TestSubmitQueryRetriesIterate(t *testing.T) {
 // commit timestamp.
 func TestPageRankViaIterateMatchesDirectExactly(t *testing.T) {
 	g := graph.ErdosRenyi(300, 1800, 7)
+	pool, err := exec.NewPool(exec.Config{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
 	cfg := pagerank.Config{
-		Exec:      exec.Config{Workers: 4},
+		Pool:      pool,
 		Isolation: MLOptions{Level: Synchronous},
 	}
 
@@ -339,7 +344,6 @@ func TestIterateComposesWithRelationalOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := pagerank.Config{
-		Exec:      exec.Config{Workers: 4},
 		Isolation: isolation.Options{Level: Synchronous},
 	}.Normalized()
 	q := Limit(SortBy(Iterate(IterateSpec{

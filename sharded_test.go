@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"db4ml/internal/exec"
 	"db4ml/internal/graph"
 	"db4ml/internal/metrics"
 	"db4ml/internal/ml/pagerank"
@@ -244,7 +245,12 @@ func loadShardedGraph(t *testing.T, db *ShardedDB, g *graph.Graph) (node, edge *
 // under round-robin placement most neighbor reads cross shard boundaries.
 func TestShardedPageRankMatchesSingleKernel(t *testing.T) {
 	g := graph.ErdosRenyi(200, 1200, 11)
-	cfg := pagerank.Config{Isolation: MLOptions{Level: Synchronous}}
+	pool, err := exec.NewPool(exec.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	cfg := pagerank.Config{Pool: pool, Isolation: MLOptions{Level: Synchronous}}
 
 	single := Open(WithWorkers(4))
 	defer single.Close()
@@ -412,8 +418,13 @@ func TestShardedSGDMatchesSingleKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pool, err := exec.NewPool(exec.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
 	scfg := cfg
-	scfg.Exec.Workers = 1
+	scfg.Pool = pool
 	want, err := sgd.Run(mgr, tablesA, scfg)
 	if err != nil {
 		t.Fatal(err)
