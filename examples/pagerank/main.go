@@ -113,7 +113,7 @@ func main() {
 
 	// Build one sub-transaction per node; the in-neighbor lists come
 	// straight from the graph here (the engine-internal implementation
-	// resolves them through the Edge table's NID_To index instead).
+	// builds them from one scan of the Edge table instead).
 	subs := make([]db4ml.IterativeTransaction, n)
 	for v := 0; v < n; v++ {
 		ins := g.InNeighbors(int32(v))

@@ -196,9 +196,9 @@ type sched struct {
 // batch groups sub-transactions for scheduling; the queues hold batches,
 // not individual sub-transactions (Section 5.2).
 type batch struct {
-	subs []*sched
-	home int   // region whose queue the batch recirculates through
-	live int64 // non-converged subs in this batch; owned by the processing worker
+	subs []sched // a window of the job's sched slab
+	home int     // region whose queue the batch recirculates through
+	live int64   // non-converged subs in this batch; owned by the processing worker
 	// enq stamps when the batch was pushed (nanoseconds since the job's
 	// start; 0 = unstamped), the queue-wait measurement. Written by the
 	// pusher before Push and read by the popper after Pop, so ownership

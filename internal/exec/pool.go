@@ -306,31 +306,50 @@ func (p *Pool) Submit(subs []itx.Sub, opts isolation.Options, jc JobConfig) (*Jo
 	for r := range j.rq {
 		j.rq[r] = queue.New[*batch]()
 	}
-	perRegion := make([][]*sched, regions)
-	for i, sub := range subs {
-		s := &sched{sub: sub, ctx: itx.NewCtx(opts, -1)}
-		s.ctx.SetObserver(jc.Observer)
-		s.ctx.SetSub(i)
-		if jc.Recorder != nil {
-			s.ctx.SetRecorder(jc.Recorder)
-		}
-		if jc.Chaos != nil {
-			s.ctx.SetChaos(jc.Chaos)
-		}
+	// Group the subs by home region with a counting sort so every batch is
+	// a window of one sched slab: set-up allocates per job, not per sub.
+	home := make([]int, len(subs))
+	end := make([]int, regions+1)
+	for i := range subs {
 		r := regionOf(i) % regions
 		if r < 0 {
 			r = 0
 		}
-		perRegion[r] = append(perRegion[r], s)
+		home[i] = r
+		end[r+1]++
 	}
-	for r := range perRegion {
-		for lo := 0; lo < len(perRegion[r]); lo += jc.BatchSize {
-			hi := lo + jc.BatchSize
-			if hi > len(perRegion[r]) {
-				hi = len(perRegion[r])
-			}
-			j.batches = append(j.batches, &batch{subs: perRegion[r][lo:hi], home: r, live: int64(hi - lo)})
+	nb := 0
+	for r := 0; r < regions; r++ {
+		nb += (end[r+1] + jc.BatchSize - 1) / jc.BatchSize
+		end[r+1] += end[r]
+	}
+	scheds := make([]sched, len(subs))
+	ctxs := itx.NewCtxs(opts, -1, len(subs))
+	for i, sub := range subs {
+		k := end[home[i]]
+		end[home[i]]++
+		c := &ctxs[k]
+		c.SetObserver(jc.Observer)
+		c.SetSub(i)
+		if jc.Recorder != nil {
+			c.SetRecorder(jc.Recorder)
 		}
+		if jc.Chaos != nil {
+			c.SetChaos(jc.Chaos)
+		}
+		scheds[k] = sched{sub: sub, ctx: c}
+	}
+	// end[r] is now where region r's subs stop and region r+1's start.
+	batches := make([]batch, 0, nb)
+	for r, start := 0, 0; r < regions; start, r = end[r], r+1 {
+		for lo := start; lo < end[r]; lo += jc.BatchSize {
+			hi := min(lo+jc.BatchSize, end[r])
+			batches = append(batches, batch{subs: scheds[lo:hi:hi], home: r, live: int64(hi - lo)})
+		}
+	}
+	j.batches = make([]*batch, len(batches))
+	for i := range batches {
+		j.batches[i] = &batches[i]
 	}
 
 	p.mu.Lock()
@@ -354,10 +373,8 @@ func (p *Pool) Submit(subs []itx.Sub, opts isolation.Options, jc JobConfig) (*Jo
 	if jc.Tracer != nil {
 		// The tracer needs the pool-assigned job id, so contexts learn it
 		// only now — before any batch is published to a queue.
-		for _, s := range perRegion {
-			for _, sc := range s {
-				sc.ctx.SetTracer(jc.Tracer, j.traceID)
-			}
+		for i := range ctxs {
+			ctxs[i].SetTracer(jc.Tracer, j.traceID)
 		}
 	}
 	if o := jc.Observer; o != nil {
@@ -759,7 +776,8 @@ func (p *Pool) runBatchIteration(w int, j *Job, b *batch) int {
 	if o != nil {
 		last = time.Now()
 	}
-	for _, s := range b.subs {
+	for i := range b.subs {
+		s := &b.subs[i]
 		if s.converged {
 			continue
 		}
@@ -869,7 +887,8 @@ func (p *Pool) processSyncPhase(w int, j *Job, b *batch, phase int32) {
 			if o != nil {
 				last = time.Now()
 			}
-			for _, s := range b.subs {
+			for i := range b.subs {
+				s := &b.subs[i]
 				if s.converged {
 					continue
 				}
@@ -906,7 +925,8 @@ func (p *Pool) processSyncPhase(w int, j *Job, b *batch, phase int32) {
 				}
 			}
 		} else {
-			for _, s := range b.subs {
+			for i := range b.subs {
+				s := &b.subs[i]
 				if s.converged {
 					continue
 				}
@@ -1043,7 +1063,8 @@ func (j *Job) pushActive() {
 func (j *Job) retireAll() {
 	n := int64(0)
 	for _, b := range j.batches {
-		for _, s := range b.subs {
+		for i := range b.subs {
+			s := &b.subs[i]
 			if !s.converged {
 				s.converged = true
 				b.live--
@@ -1062,7 +1083,8 @@ func (j *Job) retireForced(w int) {
 	o := j.cfg.Observer
 	n := int64(0)
 	for _, b := range j.batches {
-		for _, s := range b.subs {
+		for i := range b.subs {
+			s := &b.subs[i]
 			if !s.converged {
 				s.converged = true
 				b.live--
@@ -1082,7 +1104,8 @@ func (j *Job) retireForced(w int) {
 // drainBatch retires a cancelled job's batch without running it.
 func (j *Job) drainBatch(b *batch) {
 	n := int64(0)
-	for _, s := range b.subs {
+	for i := range b.subs {
+		s := &b.subs[i]
 		if !s.converged {
 			s.converged = true
 			b.live--

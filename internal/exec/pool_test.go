@@ -371,3 +371,33 @@ func TestSyncBarrierShrinkingRounds(t *testing.T) {
 		}
 	}
 }
+
+// TestSubmitAllocatesPerJob: Submit carves a job's scheds, contexts and
+// batches from per-job slabs, so arming a 4 096-sub job costs a bounded
+// number of allocations rather than a few per sub. Jobs are held, so no
+// worker allocates while Submit is measured.
+func TestSubmitAllocatesPerJob(t *testing.T) {
+	p, err := NewPool(Config{Workers: 2, Topology: numa.NewTopology(2, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	subs, _ := newCounterSubs(4096, 1)
+	jobs := make([]*Job, 0, 8)
+	allocs := testing.AllocsPerRun(3, func() {
+		j, err := p.Submit(subs, async(), JobConfig{BatchSize: 256, Hold: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	})
+	for _, j := range jobs {
+		j.Release()
+		if st, err := j.Wait(); err != nil || st.Commits != 4096 {
+			t.Fatalf("held job: %d commits, err %v", st.Commits, err)
+		}
+	}
+	if allocs > 64 {
+		t.Fatalf("Submit of a 4096-sub job: %v allocations, want <= 64", allocs)
+	}
+}

@@ -90,6 +90,16 @@ func NewCtx(opts isolation.Options, worker int) *Ctx {
 	return &Ctx{opts: opts, worker: worker}
 }
 
+// NewCtxs builds n contexts like NewCtx in one slab, so an executor sets up
+// a job's contexts in one allocation.
+func NewCtxs(opts isolation.Options, worker, n int) []Ctx {
+	cs := make([]Ctx, n)
+	for i := range cs {
+		cs[i] = Ctx{opts: opts, worker: worker}
+	}
+	return cs
+}
+
 // Worker returns the id of the worker currently driving this
 // sub-transaction.
 func (c *Ctx) Worker() int { return c.worker }

@@ -1,11 +1,14 @@
 // Package pagerank implements the paper's first use case (Section 6.1):
 // PageRank as user-defined iterative transactions inside DB4ML. The graph
-// lives in two ML-tables — Node(NodeID, PR) and Edge(NID_From, NID_To) —
-// with a hash index on Edge.NID_To to retrieve a node's in-neighbors. The
-// uber-transaction (Algorithm 1) spawns one iterative sub-transaction per
-// node; each sub-transaction (Algorithm 2) caches its node's and
+// lives in two ML-tables — Node(NodeID, PR) and Edge(NID_From, NID_To).
+// The uber-transaction (Algorithm 1) spawns one iterative sub-transaction
+// per node; each sub-transaction (Algorithm 2) caches its node's and
 // neighbors' record handles in its tx_state and re-evaluates Equation (1)
 // per iteration until its rank moves less than epsilon.
+//
+// Where get_neighbors probes a NID_To index per node, BuildSubs reads every
+// in-neighbor list from one Edge scan and a counting sort; LoadTables still
+// builds the index, but no job reads it.
 package pagerank
 
 import (
@@ -130,10 +133,11 @@ type Result struct {
 }
 
 // sub is the iterative sub-transaction of Algorithm 2. Fields are its
-// tx_state: the node's own record handle, the neighbors' handles and
-// out-degrees (cached once in Begin), and the current/previous rank.
+// tx_state: the node's own record handle, the neighbors' handles (cached
+// once in Begin) and out-degrees, all windows of per-job arrays, and the
+// current/previous rank.
 type sub struct {
-	node    *table.Table
+	slots   []*storage.VersionChain // the Node table's rows, shared by the job
 	row     table.RowID
 	inRows  []table.RowID
 	outDegs []float64
@@ -149,15 +153,12 @@ type sub struct {
 }
 
 func (s *sub) Begin(ctx *itx.Ctx) {
-	s.myRec = s.node.IterRecord(s.row)
-	s.nRecs = make([]*storage.IterativeRecord, len(s.inRows))
+	s.myRec = s.slots[s.row].Head().Iter()
 	for i, r := range s.inRows {
-		s.nRecs[i] = s.node.IterRecord(r)
+		s.nRecs[i] = s.slots[r].Head().Iter()
 	}
-	s.inRows = nil // handles cached; row ids no longer needed
 	s.pr = 0
 	s.oldPR = 0
-	s.buf = make(storage.Payload, 2)
 	s.buf.SetInt64(ColNodeID, int64(s.row))
 }
 
@@ -216,10 +217,11 @@ func (c Config) Normalized() Config {
 // (JobConfig.RegionOf). cfg must already be Normalized. It is exported so
 // the plan layer's iterate node runs the byte-identical body Run would,
 // which is what makes "PageRank as a plan node matches direct submission
-// exactly" checkable rather than approximate.
+// exactly" checkable rather than approximate. In-neighbors come in edge-row
+// order, as from a NID_To probe; an edge naming no Node row is an error.
 func BuildSubs(node, edge *table.Table, ts storage.Timestamp, cfg Config) ([]itx.Sub, func(int) int, error) {
-	n := node.NumRows()
-	base := (1 - cfg.Damping) / float64(n)
+	slots := node.Slots()
+	n := len(slots)
 	// Partition nodes across NUMA regions (range partitioning, like the
 	// baselines) and route each sub-transaction to its region's queue.
 	topo := exec.Config{}.Resolved().Topology
@@ -228,32 +230,59 @@ func BuildSubs(node, edge *table.Table, ts storage.Timestamp, cfg Config) ([]itx
 	}
 	node.SetPartitioner(partition.New(cfg.Partition, topo.Regions, uint64(n)))
 
-	// Out-degrees, computed once by the uber-transaction at its snapshot.
-	fromCol := edge.Schema().MustCol("NID_From")
+	// One scan at the uber-transaction's snapshot counts out-degrees and
+	// in-degrees (into off[to+2]) and keeps the visible (from, to) pairs.
+	fromCol, toCol := edge.Schema().MustCol("NID_From"), edge.Schema().MustCol("NID_To")
 	outDeg := make([]float64, n)
-	edge.Scan(ts, func(_ table.RowID, p storage.Payload) bool {
-		outDeg[p.Int64(fromCol)]++
+	off := make([]int, n+2)
+	pairs := make([]table.RowID, 0, 2*edge.NumRows())
+	var err error
+	edge.Scan(ts, func(r table.RowID, p storage.Payload) bool {
+		from, to := p.Int64(fromCol), p.Int64(toCol)
+		if from < 0 || from >= int64(n) || to < 0 || to >= int64(n) {
+			err = fmt.Errorf("pagerank: edge row %d (%d -> %d) names a node outside the %d-row Node table", r, from, to, n)
+			return false
+		}
+		outDeg[from]++
+		off[to+2]++
+		pairs = append(pairs, table.RowID(from), table.RowID(to))
 		return true
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	// Counting sort into one CSR: off[v+1] starts as node v's list start and
+	// placing advances it to v's end, leaving off[v] at v's start.
+	for v := 2; v < len(off); v++ {
+		off[v] += off[v-1]
+	}
+	inRows := make([]table.RowID, len(pairs)/2)
+	degs := make([]float64, len(inRows))
+	for i := 0; i < len(pairs); i += 2 {
+		k := &off[pairs[i+1]+1]
+		inRows[*k], degs[*k] = pairs[i], outDeg[pairs[i]]
+		*k++
+	}
 
+	nRecs := make([]*storage.IterativeRecord, len(inRows))
+	bufs := make(storage.Payload, 2*n)
+	slab := make([]sub, n)
 	subs := make([]itx.Sub, n)
-	for v := 0; v < n; v++ {
-		neighbors, degs, err := neighborsOf(node, edge, ts, int64(v), outDeg)
-		if err != nil {
-			return nil, nil, err
-		}
+	for v := range slab {
+		lo, hi := off[v], off[v+1]
 		if cfg.Traffic != nil {
 			own := node.PartitionOf(table.RowID(v))
-			for _, nb := range neighbors {
+			for _, nb := range inRows[lo:hi] {
 				cfg.Traffic.Record(own, node.PartitionOf(nb))
 			}
 		}
-		subs[v] = &sub{
-			node: node, row: table.RowID(v),
-			inRows: neighbors, outDegs: degs,
-			base: base, damping: cfg.Damping, epsilon: cfg.Epsilon,
-			profile: cfg.ExecuteNanos,
+		slab[v] = sub{
+			slots: slots, row: table.RowID(v),
+			inRows: inRows[lo:hi:hi], outDegs: degs[lo:hi:hi], nRecs: nRecs[lo:hi:hi],
+			base: (1 - cfg.Damping) / float64(n), damping: cfg.Damping, epsilon: cfg.Epsilon,
+			buf: bufs[2*v : 2*v+2 : 2*v+2], profile: cfg.ExecuteNanos,
 		}
+		subs[v] = &slab[v]
 	}
 	return subs, func(i int) int { return node.PartitionOf(table.RowID(i)) }, nil
 }
@@ -271,6 +300,8 @@ func Run(mgr *txn.Manager, node, edge *table.Table, cfg Config) (Result, error) 
 	if err != nil {
 		return Result{}, err
 	}
+	// Unwinds every early return before Commit; a no-op after it.
+	defer func() { _ = u.Abort() }()
 	versions := cfg.Versions
 	if versions == 0 {
 		versions = u.DefaultVersions()
@@ -282,19 +313,16 @@ func Run(mgr *txn.Manager, node, edge *table.Table, cfg Config) (Result, error) 
 	n := node.NumRows()
 	subs, regionOf, err := BuildSubs(node, edge, u.Snapshot(), cfg)
 	if err != nil {
-		_ = u.Abort()
 		return Result{}, err
 	}
 	jc := cfg.Exec
 	jc.RegionOf = regionOf
 	j, err := cfg.Pool.Submit(subs, cfg.Isolation, jc)
 	if err != nil {
-		_ = u.Abort()
 		return Result{}, err
 	}
 	stats, err := j.Wait()
 	if err != nil {
-		_ = u.Abort()
 		return Result{}, err
 	}
 
@@ -311,33 +339,4 @@ func Run(mgr *txn.Manager, node, edge *table.Table, cfg Config) (Result, error) 
 		ranks[v] = p.Float64(ColPR)
 	}
 	return Result{Ranks: ranks, Stats: stats, CommitTS: ts}, nil
-}
-
-// neighborsOf resolves a node's in-neighbors through the Edge table's
-// NID_To index — the get_neighbors step of Algorithm 1 — pairing each with
-// its precomputed out-degree.
-func neighborsOf(node, edge *table.Table, ts storage.Timestamp, id int64, outDeg []float64) ([]table.RowID, []float64, error) {
-	edgeRows, err := edge.Lookup("NID_To", id)
-	if err != nil {
-		return nil, nil, err
-	}
-	fromCol := edge.Schema().MustCol("NID_From")
-	neighbors := make([]table.RowID, 0, len(edgeRows))
-	degs := make([]float64, 0, len(edgeRows))
-	for _, er := range edgeRows {
-		// Hot path of uber-transaction setup: read the edge tuple in
-		// place instead of through the cloning Read.
-		c := edge.Chain(er)
-		if c == nil {
-			continue
-		}
-		rec := c.VisibleAt(ts)
-		if rec == nil {
-			continue
-		}
-		from := rec.Payload.Int64(fromCol)
-		neighbors = append(neighbors, table.RowID(from))
-		degs = append(degs, outDeg[from])
-	}
-	return neighbors, degs, nil
 }

@@ -6,6 +6,7 @@ import (
 	"db4ml/internal/exec"
 	"db4ml/internal/graph"
 	"db4ml/internal/isolation"
+	"db4ml/internal/itx"
 	"db4ml/internal/metrics"
 	"db4ml/internal/table"
 	"db4ml/internal/txn"
@@ -223,5 +224,28 @@ func TestStragglerHookRuns(t *testing.T) {
 	}
 	if hooks != 60*3 {
 		t.Fatalf("hook ran %d times, want 180", hooks)
+	}
+}
+
+// TestRunReleasesSnapshotWhenAttachFails: a Run that cannot attach the Node
+// table (another uber-transaction holds it) unwinds its uber-transaction
+// instead of leaking the snapshot pin, which would freeze the GC watermark.
+func TestRunReleasesSnapshotWhenAttachFails(t *testing.T) {
+	mgr, node, edge := load(t, diamondGraph(t))
+	sync := isolation.Options{Level: isolation.Synchronous}
+	other, err := itx.BeginUber(mgr, sync)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Attach(node, nil, 1); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = other.Abort() }()
+	before := mgr.ActiveSnapshots()
+	if _, err := Run(mgr, node, edge, Config{Pool: newPool(t, exec.Config{Workers: 1}), Isolation: sync}); err == nil {
+		t.Fatal("Run attached a Node table another uber-transaction holds")
+	}
+	if got := mgr.ActiveSnapshots(); got != before {
+		t.Fatalf("active snapshots %d after the failed Run, %d before", got, before)
 	}
 }

@@ -13,8 +13,9 @@ import (
 	"db4ml/internal/trace"
 )
 
-// ctxCheckStride is how many root tuples flow between context checks —
-// streaming stays cancellable without paying a ctx.Err() per row.
+// ctxCheckStride is how many tuples an operator emits between context
+// checks — streaming, and the input drains of hash builds, aggregates and
+// sorts, stay cancellable without paying a ctx.Err() per row.
 const ctxCheckStride = 256
 
 // OpStat is one operator's account of an execution: tuples it consumed
@@ -31,13 +32,15 @@ type OpStat struct {
 }
 
 // opNode decorates every physical operator: it forwards planner hints into
-// Open, counts rows out, and emits one KindPlanOp trace span per
-// Open→Close lifetime (Arg = rows out).
+// Open, counts rows out, ends its stream early once ctx is cancelled
+// (checked every ctxCheckStride rows), and emits one KindPlanOp trace span
+// per Open→Close lifetime (Arg = rows out).
 type opNode struct {
 	inner relational.Op
 	name  string
 	hints relational.Hints
 	kids  []*opNode
+	ctx   context.Context
 
 	rowsOut uint64
 	tracer  *trace.Tracer
@@ -62,6 +65,9 @@ func (o *opNode) Open() {
 }
 
 func (o *opNode) Next() (relational.Tuple, bool) {
+	if o.rowsOut%ctxCheckStride == 0 && o.ctx.Err() != nil {
+		return nil, false
+	}
 	t, ok := o.inner.Next()
 	if ok {
 		o.rowsOut++
@@ -156,19 +162,16 @@ func (p *Prepared) Collect(ctx context.Context) (*relational.Relation, error) {
 }
 
 // Next returns the next result tuple; false at end of stream or on
-// cancellation (check Err).
+// cancellation (check Err). A stream that ends after its context was
+// cancelled reports the cancellation, never success: an operator cut short
+// by the cancel may have produced a partial result.
 func (c *Cursor) Next() (relational.Tuple, bool) {
 	if c.closed || c.err != nil {
 		return nil, false
 	}
-	if c.rows%ctxCheckStride == 0 {
-		if err := c.ctx.Err(); err != nil {
-			c.err = err
-			return nil, false
-		}
-	}
 	t, ok := c.root.Next()
 	if !ok {
+		c.err = c.ctx.Err()
 		return nil, false
 	}
 	c.rows++
@@ -280,7 +283,7 @@ func (p *Prepared) runIterates(ctx context.Context, n *Node, iterTS map[*Node]st
 // wrapping every operator in the stats/trace decorator.
 func (p *Prepared) build(n *Node, ts storage.Timestamp, iterTS map[*Node]storage.Timestamp, c *Cursor) (*opNode, error) {
 	wrap := func(name string, inner relational.Op, buildRows int, kids ...*opNode) *opNode {
-		o := &opNode{inner: inner, name: name, kids: kids, tracer: p.env.Tracer, job: p.env.Job}
+		o := &opNode{inner: inner, name: name, kids: kids, ctx: c.ctx, tracer: p.env.Tracer, job: p.env.Job}
 		if buildRows > 0 && !p.env.NoPresize {
 			o.hints = relational.Hints{BuildRows: buildRows}
 		}

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -227,6 +228,54 @@ func TestCursorCancellation(t *testing.T) {
 	}
 	if cur.Err() != context.Canceled {
 		t.Fatalf("Err = %v, want context.Canceled", cur.Err())
+	}
+}
+
+// TestCancelInsidePipelineBreaker: a context cancelled while an aggregate
+// drains its input ends the query with context.Canceled, never with a
+// short result and a nil error, and the drain stops within a check stride
+// instead of reading the whole table.
+func TestCancelInsidePipelineBreaker(t *testing.T) {
+	const rows = 10000
+	m := txn.NewManager()
+	tbl := loadFact(t, m, "F", rows, 4)
+	run := func(root func(cancelOnce Pred) *Node) (int, []OpStat, error) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		prep, err := Prepare(root(TuplePred(func(relational.Tuple) bool { cancel(); return true })), Env{Mgr: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, err := prep.Execute(ctx)
+		if err != nil {
+			return 0, nil, err
+		}
+		n := 0
+		for _, ok := cur.Next(); ok; _, ok = cur.Next() {
+			n++
+		}
+		cur.Close()
+		return n, cur.Stats(), cur.Err()
+	}
+
+	// The filter cancels while the aggregate drains the scan.
+	n, stats, err := run(func(p Pred) *Node {
+		return Aggregate(Filter(Scan(tbl), p), relational.Count, "K", "n", Scalar{})
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("aggregate over a cancelling filter: %d rows, Err = %v, want context.Canceled", n, err)
+	}
+	if scan, ok := findOp(stats, "scan(F)"); !ok || scan.RowsOut > 2*ctxCheckStride {
+		t.Fatalf("the aggregate drained %d of %d rows after the cancel (stats %+v)", scan.RowsOut, rows, stats)
+	}
+
+	// The filter above the aggregate cancels after the cursor's first check
+	// and the result is shorter than one stride.
+	n, _, err = run(func(p Pred) *Node {
+		return Filter(Aggregate(Scan(tbl), relational.Count, "K", "n", Scalar{}), p)
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelling filter over an aggregate: %d rows, Err = %v, want context.Canceled", n, err)
 	}
 }
 

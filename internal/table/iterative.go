@@ -109,7 +109,7 @@ func (t *Table) CommitIterative(commitTS storage.Timestamp, rows []RowID) error 
 			}
 			return fmt.Errorf("table %s row %d: iterative version not in flight", t.name, row)
 		}
-		copy(head.Payload, head.Iter().LatestSnapshot())
+		head.Iter().ReadRecent(head.Payload)
 		head.Publish(commitTS)
 		published++
 		return nil
@@ -160,12 +160,7 @@ func (t *Table) AbortIterative(rows []RowID) error {
 
 func (t *Table) forRows(rows []RowID, fn func(RowID, *storage.VersionChain) error) error {
 	if rows == nil {
-		n := t.NumRows()
-		for i := 0; i < n; i++ {
-			c := t.Chain(RowID(i))
-			if c == nil {
-				continue
-			}
+		for i, c := range t.Slots() {
 			if err := fn(RowID(i), c); err != nil {
 				return err
 			}

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"runtime"
 	"testing"
 
 	"db4ml/internal/storage"
@@ -139,5 +140,29 @@ func TestIterRecordAfterCommitStillAccessible(t *testing.T) {
 	}
 	if tbl.IterRecord(0) == nil {
 		t.Fatal("published iterative record not reachable")
+	}
+}
+
+// TestCommitIterativeAllocatesPerTable: publishing the iterative results
+// copies each row's newest snapshot straight into its version, so the
+// commit allocates nothing per row.
+func TestCommitIterativeAllocatesPerTable(t *testing.T) {
+	allocs := func(n int) uint64 {
+		tbl := newNodeTable(t, n)
+		if err := tbl.StartIterative(5, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tbl.CommitIterative(6, nil)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	small, large := allocs(256), allocs(4096)
+	if large > small || large > 2 {
+		t.Fatalf("CommitIterative allocations: %d at 256 rows, %d at 4096 rows; want a small constant", small, large)
 	}
 }

@@ -157,10 +157,21 @@ func (t *Table) IsView() bool {
 func (t *Table) Chain(row RowID) *storage.VersionChain {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if int(row) >= len(t.rows) {
+	if row >= RowID(len(t.rows)) {
 		return nil
 	}
 	return t.rows[row]
+}
+
+// Slots returns the version chains of every current row, indexed by RowID,
+// under one lock acquisition. Rows are append-only and a row's chain
+// pointer never changes, so the prefix stays valid after later appends;
+// whole-table passes iterate it instead of taking the lock once per row.
+// Callers must not modify it.
+func (t *Table) Slots() []*storage.VersionChain {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.rows[:len(t.rows):len(t.rows)]
 }
 
 // Read returns a copy of the row version visible at ts, or false if the row
@@ -180,12 +191,7 @@ func (t *Table) Read(row RowID, ts storage.Timestamp) (storage.Payload, bool) {
 // Scan calls fn with every row visible at ts, in RowID order, stopping
 // early if fn returns false.
 func (t *Table) Scan(ts storage.Timestamp, fn func(row RowID, payload storage.Payload) bool) {
-	n := t.NumRows()
-	for i := 0; i < n; i++ {
-		c := t.Chain(RowID(i))
-		if c == nil {
-			continue
-		}
+	for i, c := range t.Slots() {
 		rec := c.VisibleAt(ts)
 		if rec == nil || rec.Deleted {
 			continue
@@ -218,16 +224,13 @@ type ScanHint struct {
 // only inside fn, exactly like Scan; rows rejected by the predicate are
 // never materialized at all (storage.VersionChain.VisibleMatch).
 func (t *Table) ScanFiltered(ts storage.Timestamp, h ScanHint, fn func(row RowID, payload storage.Payload) bool) {
-	hi := RowID(t.NumRows())
+	slots := t.Slots()
+	hi := RowID(len(slots))
 	if h.Hi != 0 && h.Hi < hi {
 		hi = h.Hi
 	}
 	for i := h.Lo; i < hi; i++ {
-		c := t.Chain(i)
-		if c == nil {
-			continue
-		}
-		rec, ok := c.VisibleMatch(ts, h.Col, h.Test)
+		rec, ok := slots[i].VisibleMatch(ts, h.Col, h.Test)
 		if !ok {
 			continue
 		}
@@ -285,12 +288,7 @@ func (t *Table) CreateTreeIndex(col string) error {
 }
 
 func (t *Table) fillIndex(ci int, add func(key int64, row uint64)) {
-	n := t.NumRows()
-	for i := 0; i < n; i++ {
-		c := t.Chain(RowID(i))
-		if c == nil {
-			continue
-		}
+	for i, c := range t.Slots() {
 		if head := c.Head(); head != nil {
 			add(head.Payload.Int64(ci), uint64(i))
 		}
@@ -348,11 +346,8 @@ func (t *Table) TreeIndex(col string) *index.BTree {
 // contract is enforced rather than assumed.
 func (t *Table) Prune(watermark storage.Timestamp) int {
 	dropped := 0
-	n := t.NumRows()
-	for i := 0; i < n; i++ {
-		if c := t.Chain(RowID(i)); c != nil {
-			dropped += c.Prune(watermark)
-		}
+	for _, c := range t.Slots() {
+		dropped += c.Prune(watermark)
 	}
 	return dropped
 }

@@ -248,3 +248,59 @@ func TestConcurrentAppendAndRead(t *testing.T) {
 		t.Fatalf("NumRows = %d, want %d", tbl.NumRows(), writers*perW)
 	}
 }
+
+// TestRowIDsPastTheTable: row ids at or past the row count — including ids
+// that are negative as an int — name no row; they must not index the slot
+// array.
+func TestRowIDsPastTheTable(t *testing.T) {
+	tbl := newNodeTable(t, 3)
+	if err := tbl.StartIterative(5, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []RowID{3, 1 << 63, ^RowID(0)} {
+		if c := tbl.Chain(row); c != nil {
+			t.Fatalf("Chain(%d) = %p, want nil", row, c)
+		}
+		if p, ok := tbl.Read(row, 5); ok {
+			t.Fatalf("Read(%d) = %v, want no row", row, p)
+		}
+		if ir := tbl.IterRecord(row); ir != nil {
+			t.Fatalf("IterRecord(%d) = %p, want nil", row, ir)
+		}
+	}
+}
+
+// TestSlotsIsAStablePrefix: a Slots prefix taken before further appends
+// keeps naming the same chains, and scans over it race with nothing.
+func TestSlotsIsAStablePrefix(t *testing.T) {
+	tbl := newNodeTable(t, 64)
+	slots := tbl.Slots()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		p := tbl.Schema().NewPayload()
+		for i := 0; i < 1000; i++ {
+			if _, err := tbl.Append(1, p); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		n := 0
+		tbl.Scan(5, func(RowID, storage.Payload) bool { n++; return true })
+		if n < len(slots) {
+			t.Fatalf("scan saw %d rows, fewer than the %d loaded", n, len(slots))
+		}
+	}
+	wg.Wait()
+	if len(slots) != 64 {
+		t.Fatalf("Slots prefix grew to %d", len(slots))
+	}
+	for i, c := range slots {
+		if tbl.Chain(RowID(i)) != c {
+			t.Fatalf("row %d: Slots chain differs from Chain", i)
+		}
+	}
+}

@@ -299,6 +299,123 @@ func TestShardedPageRankMatchesSingleKernel(t *testing.T) {
 	}
 }
 
+// TestPageRankSeesEdgeMutations: each job builds its in-adjacency from the
+// Edge table at its own snapshot, so after an OLTP insert and a tombstone
+// between two jobs the second job converges to the reference ranks of the
+// new graph — on one kernel and on two shards. Sharded rows are created
+// only through BulkLoad, so there the tombstone is a transaction on the
+// owning shard and the insert a load.
+func TestPageRankSeesEdgeMutations(t *testing.T) {
+	g := graph.ErdosRenyi(200, 1200, 11)
+	pool, err := exec.NewPool(exec.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	cfg := pagerank.Config{Pool: pool, Isolation: MLOptions{Level: Synchronous}, Epsilon: 1e-12}.Normalized()
+	added := Payload{uint64(g.NumNodes() - 1), 7}
+	const deleted = RowID(5)
+	// wantFor is the reference on the graph the Edge table holds at ts.
+	wantFor := func(edge *Table, ts Timestamp) []float64 {
+		var edges []graph.Edge
+		edge.Scan(ts, func(_ RowID, p Payload) bool {
+			edges = append(edges, graph.Edge{From: int32(p.Int64(0)), To: int32(p.Int64(1))})
+			return true
+		})
+		if len(edges) != int(g.NumEdges()) {
+			t.Fatalf("edge table holds %d edges after one insert and one delete, want %d", len(edges), g.NumEdges())
+		}
+		g2, err := graph.FromEdges(g.NumNodes(), edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := graph.PageRankRef(g2, cfg.Damping, 1e-12, 1000)
+		return want
+	}
+	check := func(label string, ranks, want []float64) {
+		t.Helper()
+		if d := metrics.MaxAbsDiff(want, ranks); d > 1e-9 {
+			t.Fatalf("%s: max |PR - reference on the new graph| = %v", label, d)
+		}
+	}
+
+	single := Open(WithWorkers(2))
+	defer single.Close()
+	node, edge, err := pagerank.LoadTables(single.Manager(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pagerank.Run(single.Manager(), node, edge, cfg); err != nil {
+		t.Fatal(err)
+	}
+	tx := single.Begin()
+	if err := tx.Insert(edge, added); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Delete(edge, deleted); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := pagerank.Run(single.Manager(), node, edge, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("one kernel", res.Ranks, wantFor(edge, res.CommitTS))
+
+	db := OpenSharded(WithShards(2), WithShardScheme(ShardRoundRobin), WithWorkers(2))
+	defer db.Close()
+	node, edge = loadShardedGraph(t, db, g)
+	run := func() []float64 {
+		subs, _, err := pagerank.BuildSubs(node, edge, db.Stable(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := db.SubmitML(context.Background(), MLRun{
+			Isolation:        cfg.Isolation,
+			ConvergeTogether: cfg.Exec.ConvergeTogether,
+			Attach:           []Attachment{{Table: node}},
+			Subs:             subs,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		ranks := make([]float64, g.NumNodes())
+		for v := range ranks {
+			p, ok := node.Read(RowID(v), h.CommitTS())
+			if !ok {
+				t.Fatalf("node %d unreadable at commit ts", v)
+			}
+			ranks[v] = p.Float64(pagerank.ColPR)
+		}
+		return ranks
+	}
+	run()
+	st := db.ShardedTable("Edge")
+	s, local, ok := st.Locate(deleted)
+	if !ok {
+		t.Fatalf("edge row %d has no owning shard", deleted)
+	}
+	stx := db.Cluster().Kernel(s).Mgr().Begin()
+	if err := stx.Delete(st.Local(s), local); err != nil {
+		t.Fatal(err)
+	}
+	if err := stx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// The load publishes on every shard after the delete committed, which
+	// brings the cross-shard stable snapshot past both.
+	if err := db.BulkLoad(edge, []Payload{added}); err != nil {
+		t.Fatal(err)
+	}
+	want := wantFor(edge, db.Stable())
+	check("two shards", run(), want)
+}
+
 // TestShardedPageRankBoundedStaleness: under bounded staleness the
 // distributed run is not bit-deterministic, but it must still converge to
 // the true ranks within the same tolerance the single-kernel bounded test
