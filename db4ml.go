@@ -549,11 +549,7 @@ func (db *DB) Manager() *txn.Manager { return db.mgr }
 // Attachment names one table (and optionally a row subset) an ML run will
 // update. Versions overrides the per-record snapshot-slot count; 0 uses
 // the isolation level's default (Section 5.1 optimizations).
-type Attachment struct {
-	Table    *Table
-	Rows     []RowID
-	Versions int
-}
+type Attachment = itx.Attachment
 
 // MLRun describes one ML algorithm execution: which tables it updates,
 // the sub-transactions to drive to convergence, and how to run them.
@@ -682,35 +678,25 @@ func (db *DB) SubmitML(ctx context.Context, run MLRun) (*JobHandle, error) {
 		cfg.Observer = obs.New()
 	}
 
+	spec := exec.UberSpec{
+		Isolation: run.Isolation,
+		Attach:    run.Attach,
+		Build: func(storage.Timestamp) ([]itx.Sub, func(int) int, error) {
+			return run.Subs, nil, nil
+		},
+		Job: cfg,
+	}
 	// start opens one attempt: it begins the uber-transaction, installs the
 	// iterative records, and submits the job. Each retry repeats it from
 	// scratch, since the failed attempt's abort tore everything down.
-	start := func() (*itx.Uber, *exec.Job, error) {
-		u, err := itx.BeginUber(db.mgr, run.Isolation)
-		if err != nil {
-			return nil, nil, err
+	start := func() (*exec.UberRun, error) {
+		r, err := exec.StartUber(db.pool, db.mgr, spec)
+		if err == exec.ErrPoolClosed {
+			err = ErrClosed
 		}
-		for _, a := range run.Attach {
-			v := a.Versions
-			if v == 0 {
-				v = u.DefaultVersions()
-			}
-			if err := u.Attach(a.Table, a.Rows, v); err != nil {
-				_ = u.Abort()
-				return nil, nil, err
-			}
-		}
-		job, err := db.pool.Submit(run.Subs, run.Isolation, cfg)
-		if err != nil {
-			_ = u.Abort()
-			if err == exec.ErrPoolClosed {
-				err = ErrClosed
-			}
-			return nil, nil, err
-		}
-		return u, job, nil
+		return r, err
 	}
-	u, job, err := start()
+	att, err := start()
 	if err != nil {
 		db.release()
 		return nil, err
@@ -719,7 +705,7 @@ func (db *DB) SubmitML(ctx context.Context, run MLRun) (*JobHandle, error) {
 
 	h := &JobHandle{started: time.Now()}
 	h.init(ctx)
-	h.job.Store(job)
+	h.job.Store(att.Job)
 	db.runs.track(&h.handleCore, func(state string) []introspect.JobInfo {
 		j := h.job.Load()
 		return []introspect.JobInfo{introspect.NewJobInfo(j.ID(), j.Label(), state,
@@ -728,7 +714,7 @@ func (db *DB) SubmitML(ctx context.Context, run MLRun) (*JobHandle, error) {
 	tables := distinctTables(run.Attach)
 	go db.supervise(&h.handleCore, attempt{
 		policy: set.policy,
-		token:  job.ID(),
+		token:  att.Job.ID(),
 		obs:    cfg.Observer,
 		tracer: cfg.Tracer,
 		try: func() (bool, error) {
@@ -747,9 +733,9 @@ func (db *DB) SubmitML(ctx context.Context, run MLRun) (*JobHandle, error) {
 			// wait for every in-flight worker to acknowledge the cancellation
 			// before touching the uber-transaction it is attached to.
 			// Instant after a natural finish.
-			quiesced := job.Quiesce(quiesceGrace)
+			quiesced := job.Quiesce(exec.QuiesceGrace)
 			if err != nil {
-				_ = u.Abort()
+				_ = att.Uber.Abort()
 				if run.Recorder != nil {
 					run.Recorder.RecordUberAbort()
 				}
@@ -758,10 +744,10 @@ func (db *DB) SubmitML(ctx context.Context, run MLRun) (*JobHandle, error) {
 			if db.dur.killed(chaos.CrashBeforePrepare) {
 				// Simulated death before the uber-commit's prepare: nothing
 				// was published and nothing is acknowledged.
-				_ = u.Abort()
+				_ = att.Uber.Abort()
 				return false, chaos.ErrCrashed
 			}
-			ts, err := u.Commit()
+			ts, err := att.Uber.Commit()
 			if err != nil {
 				if run.Recorder != nil {
 					run.Recorder.RecordUberAbort()
@@ -792,13 +778,13 @@ func (db *DB) SubmitML(ctx context.Context, run MLRun) (*JobHandle, error) {
 			return false, nil
 		},
 		resubmit: func() (uint64, error) {
-			nu, nj, err := start()
+			next, err := start()
 			if err != nil {
 				return 0, err
 			}
-			u = nu
-			h.job.Store(nj)
-			return nj.ID(), nil
+			att = next
+			h.job.Store(att.Job)
+			return att.Job.ID(), nil
 		},
 		settle: func() {
 			db.runs.settle(&h.handleCore)
@@ -807,14 +793,6 @@ func (db *DB) SubmitML(ctx context.Context, run MLRun) (*JobHandle, error) {
 	})
 	return h, nil
 }
-
-// quiesceGrace bounds how long an attempt waits, after a forced retirement,
-// for in-flight workers to acknowledge the cancellation before it aborts the
-// uber-transaction anyway. A worker still wedged past the grace can no
-// longer install anything (the engine re-checks cancellation between Execute
-// and Finalize), but resubmitting the same sub-transactions underneath it
-// would be unsafe — so a non-quiesced job is never retried.
-const quiesceGrace = time.Second
 
 // RunML executes one ML algorithm as an uber-transaction and blocks until
 // it finished — SubmitML followed by Wait. On error the uber-transaction

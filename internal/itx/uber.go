@@ -22,14 +22,18 @@ type Uber struct {
 	mgr      *txn.Manager
 	opts     isolation.Options
 	snapshot storage.Timestamp
-	attached []attachment
+	attached []Attachment
 	done     bool
 	pinned   bool
 }
 
-type attachment struct {
-	tbl  *table.Table
-	rows []table.RowID // nil means all rows
+// Attachment names one table (and optionally a row subset) an
+// uber-transaction updates. Versions overrides the per-record snapshot-slot
+// count; 0 uses the isolation level's default (DefaultVersions).
+type Attachment struct {
+	Table    *table.Table
+	Rows     []table.RowID // nil means all rows
+	Versions int
 }
 
 // BeginUber starts an uber-transaction under the given isolation options.
@@ -71,19 +75,21 @@ func (u *Uber) DefaultVersions() int {
 	return 1
 }
 
-// Attach installs iterative records (with nVersions snapshot slots; use
-// DefaultVersions unless an experiment dictates otherwise) on the given
-// rows of tbl — all rows when rows is nil — seeded from the
-// uber-transaction's snapshot. The records stay invisible to every other
-// transaction until Commit.
+// Attach installs iterative records (with nVersions snapshot slots; 0 uses
+// DefaultVersions) on the given rows of tbl — all rows when rows is nil —
+// seeded from the uber-transaction's snapshot. The records stay invisible
+// to every other transaction until Commit.
 func (u *Uber) Attach(tbl *table.Table, rows []table.RowID, nVersions int) error {
 	if u.done {
 		return ErrUberDone
 	}
+	if nVersions == 0 {
+		nVersions = u.DefaultVersions()
+	}
 	if err := tbl.StartIterative(u.snapshot, nVersions, rows); err != nil {
 		return err
 	}
-	u.attached = append(u.attached, attachment{tbl: tbl, rows: rows})
+	u.attached = append(u.attached, Attachment{Table: tbl, Rows: rows, Versions: nVersions})
 	return nil
 }
 
@@ -97,8 +103,8 @@ func (u *Uber) Commit() (storage.Timestamp, error) {
 	var firstErr error
 	ts := u.mgr.PublishAt(func(ts storage.Timestamp) {
 		for _, a := range u.attached {
-			if err := a.tbl.CommitIterative(ts, a.rows); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("itx: commit of table %s: %w", a.tbl.Name(), err)
+			if err := a.Table.CommitIterative(ts, a.Rows); err != nil && firstErr == nil {
+				firstErr = fmt.Errorf("itx: commit of table %s: %w", a.Table.Name(), err)
 			}
 		}
 	})
@@ -144,8 +150,8 @@ func (u *Uber) CommitPrepared(p *txn.Prepared, ts storage.Timestamp) error {
 	var firstErr error
 	p.CommitAt(ts, func(ts storage.Timestamp) {
 		for _, a := range u.attached {
-			if err := a.tbl.CommitIterative(ts, a.rows); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("itx: commit of table %s: %w", a.tbl.Name(), err)
+			if err := a.Table.CommitIterative(ts, a.Rows); err != nil && firstErr == nil {
+				firstErr = fmt.Errorf("itx: commit of table %s: %w", a.Table.Name(), err)
 			}
 		}
 	})
@@ -165,8 +171,8 @@ func (u *Uber) Abort() error {
 	}
 	u.release()
 	for _, a := range u.attached {
-		if err := a.tbl.AbortIterative(a.rows); err != nil {
-			return fmt.Errorf("itx: abort of table %s: %w", a.tbl.Name(), err)
+		if err := a.Table.AbortIterative(a.Rows); err != nil {
+			return fmt.Errorf("itx: abort of table %s: %w", a.Table.Name(), err)
 		}
 	}
 	u.done = true

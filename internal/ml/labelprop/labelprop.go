@@ -82,9 +82,7 @@ type Result struct {
 // sub propagates the minimum label over one node's undirected
 // neighborhood.
 type sub struct {
-	tbl      *table.Table
 	row      table.RowID
-	nbrRows  []table.RowID
 	rec      *storage.IterativeRecord
 	nbrs     []*storage.IterativeRecord
 	cur, old int64
@@ -92,12 +90,6 @@ type sub struct {
 }
 
 func (s *sub) Begin(ctx *itx.Ctx) {
-	s.rec = s.tbl.IterRecord(s.row)
-	s.nbrs = make([]*storage.IterativeRecord, len(s.nbrRows))
-	for i, r := range s.nbrRows {
-		s.nbrs[i] = s.tbl.IterRecord(r)
-	}
-	s.nbrRows = nil
 	s.cur = int64(s.row)
 	s.buf = make(storage.Payload, 2)
 	s.buf.SetInt64(ColNodeID, int64(s.row))
@@ -126,52 +118,59 @@ func (s *sub) Validate(ctx *itx.Ctx) itx.Action {
 	return itx.Commit
 }
 
+// buildSubs makes one sub per node of g, resolving the iterative records
+// of the node and its undirected neighborhood (out- plus in-neighbors) on
+// the attached tbl. A node or neighbor without a record in tbl is an error
+// naming it.
+func buildSubs(tbl *table.Table, g *graph.Graph) ([]itx.Sub, error) {
+	n := g.NumNodes()
+	slab := make([]sub, n)
+	subs := make([]itx.Sub, n)
+	for v := range slab {
+		rec := tbl.IterRecord(table.RowID(v))
+		if rec == nil {
+			return nil, fmt.Errorf("labelprop: node %d has no row in table %s", v, tbl.Name())
+		}
+		outs, ins := g.OutNeighbors(int32(v)), g.InNeighbors(int32(v))
+		nbrs := make([]*storage.IterativeRecord, 0, len(outs)+len(ins))
+		for _, list := range [][]int32{outs, ins} {
+			for _, u := range list {
+				nrec := tbl.IterRecord(table.RowID(u))
+				if nrec == nil {
+					return nil, fmt.Errorf("labelprop: node %d's neighbor %d has no row in table %s", v, u, tbl.Name())
+				}
+				nbrs = append(nbrs, nrec)
+			}
+		}
+		slab[v] = sub{row: table.RowID(v), rec: rec, nbrs: nbrs}
+		subs[v] = &slab[v]
+	}
+	return subs, nil
+}
+
 // Run computes connected components of g's undirected view as one
 // uber-transaction and commits the labels.
 func Run(mgr *txn.Manager, tbl *table.Table, g *graph.Graph, cfg Config) (Result, error) {
-	if cfg.Pool == nil {
-		return Result{}, exec.ErrNoPool
-	}
 	if cfg.Isolation.Level == isolation.Synchronous {
 		cfg.Exec.ConvergeTogether = true
 	}
-	u, err := itx.BeginUber(mgr, cfg.Isolation)
+	r, err := exec.StartUber(cfg.Pool, mgr, exec.UberSpec{
+		Isolation: cfg.Isolation,
+		Attach:    []itx.Attachment{{Table: tbl}},
+		Build: func(storage.Timestamp) ([]itx.Sub, func(int) int, error) {
+			subs, err := buildSubs(tbl, g)
+			return subs, nil, err
+		},
+		Job: cfg.Exec,
+	})
 	if err != nil {
 		return Result{}, err
 	}
-	if err := u.Attach(tbl, nil, u.DefaultVersions()); err != nil {
-		_ = u.Abort()
+	stats, ts, err := r.Finish()
+	if err != nil {
 		return Result{}, err
 	}
 	n := g.NumNodes()
-	subs := make([]itx.Sub, n)
-	for v := 0; v < n; v++ {
-		// Undirected neighborhood: out- plus in-neighbors.
-		outs := g.OutNeighbors(int32(v))
-		ins := g.InNeighbors(int32(v))
-		rows := make([]table.RowID, 0, len(outs)+len(ins))
-		for _, u := range outs {
-			rows = append(rows, table.RowID(u))
-		}
-		for _, u := range ins {
-			rows = append(rows, table.RowID(u))
-		}
-		subs[v] = &sub{tbl: tbl, row: table.RowID(v), nbrRows: rows}
-	}
-	j, err := cfg.Pool.Submit(subs, cfg.Isolation, cfg.Exec)
-	if err != nil {
-		_ = u.Abort()
-		return Result{}, err
-	}
-	stats, err := j.Wait()
-	if err != nil {
-		_ = u.Abort()
-		return Result{}, err
-	}
-	ts, err := u.Commit()
-	if err != nil {
-		return Result{}, err
-	}
 	res := Result{Stats: stats, CommitTS: ts, Labels: make([]int64, n)}
 	seen := make(map[int64]bool)
 	for v := 0; v < n; v++ {

@@ -1,11 +1,14 @@
 package labelprop
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"db4ml/internal/exec"
 	"db4ml/internal/graph"
 	"db4ml/internal/isolation"
+	"db4ml/internal/resilience"
 	"db4ml/internal/txn"
 )
 
@@ -152,5 +155,43 @@ func TestAsyncComponentsConverge(t *testing.T) {
 	}
 	if frac := float64(mislabeled) / float64(len(res.Labels)); frac > 0.05 {
 		t.Fatalf("%.1f%% of nodes kept stale labels under async", frac*100)
+	}
+}
+
+// TestRunRejectsRowsMissingFromTable: a graph naming nodes the table has
+// no rows for fails before any sub-transaction runs, with an error naming
+// the missing row — not a worker panic — and leaves no snapshot pinned.
+func TestRunRejectsRowsMissingFromTable(t *testing.T) {
+	small, err := graph.FromEdges(3, []graph.Edge{{From: 1, To: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	farNeighbor, err := graph.FromEdges(5, []graph.Edge{{From: 0, To: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := newPool(t, exec.Config{Workers: 2})
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		want string
+	}{
+		{"node", threeComponents(t), "node 3"},
+		{"neighbor", farNeighbor, "neighbor 4"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			mgr := txn.NewManager()
+			tbl, err := LoadTable(mgr, small)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = Run(mgr, tbl, c.g, Config{Pool: pool})
+			if err == nil || errors.Is(err, resilience.ErrJobPanicked) || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want an error naming %s", err, c.want)
+			}
+			if n := mgr.ActiveSnapshots(); n != 0 {
+				t.Fatalf("%d snapshots pinned after the rejected run", n)
+			}
+		})
 	}
 }

@@ -291,47 +291,24 @@ func BuildSubs(node, edge *table.Table, ts storage.Timestamp, cfg Config) ([]itx
 // commits the result, making it globally visible. Node RowIDs must equal
 // node ids (as produced by LoadTables).
 func Run(mgr *txn.Manager, node, edge *table.Table, cfg Config) (Result, error) {
-	if cfg.Pool == nil {
-		return Result{}, exec.ErrNoPool
-	}
 	cfg = cfg.Normalized()
-
-	u, err := itx.BeginUber(mgr, cfg.Isolation)
+	r, err := exec.StartUber(cfg.Pool, mgr, exec.UberSpec{
+		Isolation: cfg.Isolation,
+		Attach:    []itx.Attachment{{Table: node, Versions: cfg.Versions}},
+		Build: func(ts storage.Timestamp) ([]itx.Sub, func(int) int, error) {
+			return BuildSubs(node, edge, ts, cfg)
+		},
+		Job: cfg.Exec,
+	})
 	if err != nil {
 		return Result{}, err
 	}
-	// Unwinds every early return before Commit; a no-op after it.
-	defer func() { _ = u.Abort() }()
-	versions := cfg.Versions
-	if versions == 0 {
-		versions = u.DefaultVersions()
-	}
-	if err := u.Attach(node, nil, versions); err != nil {
-		return Result{}, err
-	}
-
-	n := node.NumRows()
-	subs, regionOf, err := BuildSubs(node, edge, u.Snapshot(), cfg)
+	stats, ts, err := r.Finish()
 	if err != nil {
 		return Result{}, err
 	}
-	jc := cfg.Exec
-	jc.RegionOf = regionOf
-	j, err := cfg.Pool.Submit(subs, cfg.Isolation, jc)
-	if err != nil {
-		return Result{}, err
-	}
-	stats, err := j.Wait()
-	if err != nil {
-		return Result{}, err
-	}
-
-	ts, err := u.Commit()
-	if err != nil {
-		return Result{}, err
-	}
-	ranks := make([]float64, n)
-	for v := 0; v < n; v++ {
+	ranks := make([]float64, node.NumRows())
+	for v := range ranks {
 		p, ok := node.Read(table.RowID(v), ts)
 		if !ok {
 			return Result{}, fmt.Errorf("pagerank: row %d unreadable after commit", v)

@@ -25,8 +25,8 @@ type replicaSet struct {
 }
 
 // newReplicaSet loads one replica of the parameter table per region plus
-// the Token relation. Call before BeginUber so the uber-transaction's
-// snapshot includes these rows; attach wires them to the uber-transaction.
+// the Token relation. Call before the uber-transaction begins so its
+// snapshot includes these rows.
 func newReplicaSet(mgr *txn.Manager, base *Tables, regions int) (*replicaSet, error) {
 	rs := &replicaSet{features: base.Features}
 	var loadErr error
@@ -62,17 +62,19 @@ func newReplicaSet(mgr *txn.Manager, base *Tables, regions int) (*replicaSet, er
 	return rs, nil
 }
 
-// attach installs iterative records on every replica and the token
-// relation, and caches the record handles the sub-transactions use.
-func (rs *replicaSet) attach(u *itx.Uber) error {
+// attachments lists every replica (at the isolation level's default slot
+// count) and the single-slot token relation.
+func (rs *replicaSet) attachments() []itx.Attachment {
+	out := make([]itx.Attachment, 0, len(rs.tables)+1)
 	for _, rep := range rs.tables {
-		if err := u.Attach(rep, nil, u.DefaultVersions()); err != nil {
-			return err
-		}
+		out = append(out, itx.Attachment{Table: rep})
 	}
-	if err := u.Attach(rs.tokenTbl, nil, 1); err != nil {
-		return err
-	}
+	return append(out, itx.Attachment{Table: rs.tokenTbl, Versions: 1})
+}
+
+// resolve caches the record handles the sub-transactions use; call it once
+// the attachments are installed.
+func (rs *replicaSet) resolve() {
 	rs.token = rs.tokenTbl.IterRecord(0)
 	rs.recs = make([][]*storage.IterativeRecord, len(rs.tables))
 	for r, rep := range rs.tables {
@@ -81,7 +83,6 @@ func (rs *replicaSet) attach(u *itx.Uber) error {
 			rs.recs[r][i] = rep.IterRecord(table.RowID(i))
 		}
 	}
-	return nil
 }
 
 // maybeMix checks the token relation and, if this region owns the token,

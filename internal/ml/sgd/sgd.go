@@ -267,11 +267,11 @@ func (s *sub) Validate(ctx *itx.Ctx) itx.Action {
 // BuildSubs constructs the shared-model sub-transactions of Algorithm 3 at
 // snapshot ts: nSubs subs (clamped to the training-set size), each owning a
 // contiguous key range of the shuffled Sample table and seeded
-// cfg.Seed+i. It is exported so external drivers — the sharded facade in
-// particular — run the byte-identical bodies Run would, which makes
-// "distributed SGD matches single-kernel SGD" checkable rather than
-// approximate. SharedModel mode only; ReplicatedNUMA subs need the replica
-// set Run owns.
+// cfg.Seed+i. Run builds through it too, then places each sub on its
+// worker's region and, in ReplicatedNUMA mode, wires the replica set Run
+// owns; so external drivers — the sharded facade in particular — run the
+// byte-identical SharedModel bodies Run would, which makes "distributed SGD
+// matches single-kernel SGD" checkable rather than approximate.
 func BuildSubs(tables *Tables, ts storage.Timestamp, nSubs int, cfg Config) ([]itx.Sub, error) {
 	cfg = cfg.withDefaults()
 	rows := len(tables.Store)
@@ -305,6 +305,8 @@ func BuildSubs(tables *Tables, ts storage.Timestamp, nSubs int, cfg Config) ([]i
 // Run executes SGD as one uber-transaction over tables and commits the
 // trained model.
 func Run(mgr *txn.Manager, tables *Tables, cfg Config) (Result, error) {
+	// The pool's topology sizes the replica set, which is loaded before
+	// the uber-transaction begins.
 	if cfg.Pool == nil {
 		return Result{}, exec.ErrNoPool
 	}
@@ -314,78 +316,46 @@ func Run(mgr *txn.Manager, tables *Tables, cfg Config) (Result, error) {
 		iso = *cfg.Isolation
 	}
 	topo := cfg.Pool.Topology()
-	regions := topo.Regions
 
 	// Replica tables must exist before the uber-transaction fixes its
 	// snapshot, or their rows would be invisible to StartIterative.
 	var rs *replicaSet
-	var err error
+	attach := []itx.Attachment{{Table: tables.Params}}
 	if cfg.Mode == ReplicatedNUMA {
-		rs, err = newReplicaSet(mgr, tables, regions)
-		if err != nil {
+		var err error
+		if rs, err = newReplicaSet(mgr, tables, topo.Regions); err != nil {
 			return Result{}, err
 		}
+		attach = rs.attachments()
 	}
-	u, err := itx.BeginUber(mgr, iso)
+	r, err := exec.StartUber(cfg.Pool, mgr, exec.UberSpec{
+		Isolation: iso,
+		Attach:    attach,
+		Build: func(ts storage.Timestamp) ([]itx.Sub, func(int) int, error) {
+			// One sub-transaction per worker core (Algorithm 3), each on its
+			// worker's region; the first sub of a region mixes its replica.
+			subs, err := BuildSubs(tables, ts, cfg.Pool.Workers(), cfg)
+			if err != nil {
+				return nil, nil, err
+			}
+			if rs != nil {
+				rs.resolve()
+			}
+			seenRegion := make(map[int]bool)
+			for i, s := range subs {
+				s := s.(*sub)
+				s.replica, s.region = rs, topo.RegionOf(i)
+				s.mixer = !seenRegion[s.region]
+				seenRegion[s.region] = true
+			}
+			return subs, topo.RegionOf, nil
+		},
+		Job: cfg.Exec,
+	})
 	if err != nil {
 		return Result{}, err
 	}
-	if rs != nil {
-		if err := rs.attach(u); err != nil {
-			_ = u.Abort()
-			return Result{}, err
-		}
-	} else {
-		if err := u.Attach(tables.Params, nil, u.DefaultVersions()); err != nil {
-			_ = u.Abort()
-			return Result{}, err
-		}
-	}
-
-	// One sub-transaction per worker core (Algorithm 3), each owning a
-	// contiguous key range of the shuffled Sample table.
-	nSubs := cfg.Pool.Workers()
-	rows := len(tables.Store)
-	if nSubs > rows {
-		nSubs = rows
-	}
-	if nSubs == 0 {
-		_ = u.Abort()
-		return Result{}, fmt.Errorf("sgd: empty training set")
-	}
-	per := rows / nSubs
-	subs := make([]itx.Sub, nSubs)
-	seenRegion := make(map[int]bool)
-	for i := 0; i < nSubs; i++ {
-		low := int64(i * per)
-		high := low + int64(per) - 1
-		if i == nSubs-1 {
-			high = int64(rows - 1)
-		}
-		region := topo.RegionOf(i)
-		subs[i] = &sub{
-			tables: tables, replica: rs, region: region,
-			lowKey: low, highKey: high, snapshot: u.Snapshot(),
-			epochs: cfg.Epochs, stepSize: cfg.StepSize, stepDecay: cfg.StepDecay,
-			lambda: cfg.Lambda, seed: cfg.Seed + int64(i), beta: cfg.Beta,
-			mixer: !seenRegion[region],
-		}
-		seenRegion[region] = true
-	}
-	jc := cfg.Exec
-	jc.RegionOf = topo.RegionOf
-	j, err := cfg.Pool.Submit(subs, iso, jc)
-	if err != nil {
-		_ = u.Abort()
-		return Result{}, err
-	}
-	stats, err := j.Wait()
-	if err != nil {
-		_ = u.Abort()
-		return Result{}, err
-	}
-
-	ts, err := u.Commit()
+	stats, ts, err := r.Finish()
 	if err != nil {
 		return Result{}, err
 	}

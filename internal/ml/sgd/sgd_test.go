@@ -1,6 +1,9 @@
 package sgd
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"db4ml/internal/exec"
@@ -205,5 +208,39 @@ func TestOLTPCanQueryModelAfterCommit(t *testing.T) {
 	}
 	if p.Float64(ColValue) != res.Model[0] {
 		t.Fatalf("OLTP read %v != model %v", p.Float64(ColValue), res.Model[0])
+	}
+}
+
+// TestOneWorkerModelsPinned: with one worker the run is deterministic, so
+// the trained model of each mode hashes to a fixed value. Run builds its
+// subs through BuildSubs; the hashes were taken when Run still split the
+// key ranges itself, so they pin that the two constructions agree.
+func TestOneWorkerModelsPinned(t *testing.T) {
+	train, _, features := dataset(t)
+	for _, c := range []struct {
+		mode Mode
+		want uint64
+	}{
+		{SharedModel, 0xe87f1811272d583},
+		{ReplicatedNUMA, 0xe87f1811272d583},
+	} {
+		mgr := txn.NewManager()
+		tables, err := LoadTables(mgr, train, features, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(mgr, tables, Config{
+			Pool: newPool(t, exec.Config{Workers: 1}), Epochs: 3, Lambda: 1e-5, Seed: 7, Mode: c.mode,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		for _, w := range res.Model {
+			_ = binary.Write(h, binary.LittleEndian, math.Float64bits(w))
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("mode %d: model hash %#x, want %#x", c.mode, got, c.want)
+		}
 	}
 }

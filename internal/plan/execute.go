@@ -237,40 +237,17 @@ func (p *Prepared) runIterates(ctx context.Context, n *Node, iterTS map[*Node]st
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if p.env.Pool == nil {
-		return exec.ErrNoPool
-	}
 	spec := n.iter
-	u, err := itx.BeginUber(p.env.Mgr, spec.Isolation)
+	r, err := exec.StartUber(p.env.Pool, p.env.Mgr, exec.UberSpec{
+		Isolation: spec.Isolation,
+		Attach:    []itx.Attachment{{Table: spec.Table, Versions: spec.Versions}},
+		Build:     spec.Build,
+		Job:       spec.Exec,
+	})
 	if err != nil {
 		return err
 	}
-	versions := spec.Versions
-	if versions == 0 {
-		versions = u.DefaultVersions()
-	}
-	if err := u.Attach(spec.Table, nil, versions); err != nil {
-		_ = u.Abort()
-		return err
-	}
-	subs, regionOf, err := spec.Build(u.Snapshot())
-	if err != nil {
-		_ = u.Abort()
-		return err
-	}
-	jc := spec.Exec
-	jc.RegionOf = regionOf
-	j, err := p.env.Pool.Submit(subs, spec.Isolation, jc)
-	if err != nil {
-		_ = u.Abort()
-		return err
-	}
-	stats, err := j.Wait()
-	if err != nil {
-		_ = u.Abort()
-		return err
-	}
-	ts, err := u.Commit()
+	stats, ts, err := r.Finish()
 	if err != nil {
 		return err
 	}

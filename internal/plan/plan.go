@@ -172,8 +172,8 @@ type IterateSpec struct {
 	Versions int
 	// Isolation selects the ML isolation level for the job.
 	Isolation isolation.Options
-	// Exec configures the job (batch size, iteration caps, ...); the
-	// region router comes from Build, so RegionOf is ignored.
+	// Exec configures the job (batch size, iteration caps, ...); a region
+	// router returned by Build replaces its RegionOf.
 	Exec exec.JobConfig
 	// Build constructs the sub-transactions at the uber-transaction's
 	// snapshot, returning the subs and the job's region router.

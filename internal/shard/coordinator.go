@@ -13,19 +13,12 @@ import (
 	"db4ml/internal/itx"
 	"db4ml/internal/obs"
 	"db4ml/internal/storage"
-	"db4ml/internal/table"
 	"db4ml/internal/trace"
 	"db4ml/internal/txn"
 )
 
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("shard: coordinator closed")
-
-// quiesceGrace bounds how long the coordinator waits, after a forced
-// retirement, for a shard job's in-flight workers to acknowledge
-// cancellation before the distributed abort proceeds anyway (mirrors the
-// facade's single-kernel grace).
-const quiesceGrace = time.Second
 
 // RunRecorder extends the executor's history recorder with the
 // uber-transaction outcome events the coordinator emits — the same
@@ -39,11 +32,7 @@ type RunRecorder interface {
 
 // Attachment names one shard-LOCAL table (and optionally a local row
 // subset) a shard's slice of the distributed run updates.
-type Attachment struct {
-	Table    *table.Table
-	Rows     []table.RowID
-	Versions int // 0 = the isolation level's default slot count
-}
+type Attachment = itx.Attachment
 
 // Plan is one shard's slice of a distributed uber-transaction: the local
 // tables it attaches, the sub-transactions its pool drives, and the
@@ -240,11 +229,7 @@ func (co *Coordinator) Submit(run UberRun) (*Handle, error) {
 		}
 		ubers = append(ubers, u)
 		for _, a := range run.Plans[i].Attach {
-			v := a.Versions
-			if v == 0 {
-				v = u.DefaultVersions()
-			}
-			if err := u.Attach(a.Table, a.Rows, v); err != nil {
+			if err := u.Attach(a.Table, a.Rows, a.Versions); err != nil {
 				abortBegun()
 				co.inflight.Done()
 				return nil, err
@@ -320,7 +305,7 @@ func (co *Coordinator) Submit(run UberRun) (*Handle, error) {
 					// so Wait can observe the drained retirement.
 					h.jobs[s].Release()
 					_, _ = h.jobs[s].Wait()
-					h.jobs[s].Quiesce(quiesceGrace)
+					h.jobs[s].Quiesce(exec.QuiesceGrace)
 				}
 			}
 			abortBegun()
@@ -366,7 +351,7 @@ func (co *Coordinator) resolve(h *Handle, run UberRun, ubers []*itx.Uber, rz *Re
 		}
 		stats, err := j.Wait()
 		h.stats[i] = stats
-		if !j.Quiesce(quiesceGrace) {
+		if !j.Quiesce(exec.QuiesceGrace) {
 			h.quiesced = false
 		}
 		if err != nil && firstErr == nil {

@@ -9,7 +9,6 @@ import (
 	"db4ml/internal/exec"
 	"db4ml/internal/graph"
 	"db4ml/internal/isolation"
-	"db4ml/internal/ml/kmeans"
 	"db4ml/internal/ml/labelprop"
 	"db4ml/internal/ml/pagerank"
 	"db4ml/internal/ml/sgd"
@@ -60,17 +59,6 @@ func TestMLRunnersAbortOnDeadline(t *testing.T) {
 			}
 			return tables.Params, func() error {
 				_, err := sgd.Run(mgr, tables, sgd.Config{Exec: jc, Pool: pool, Epochs: 200, Seed: 1})
-				return err
-			}
-		}},
-		{"kmeans", func(t *testing.T, mgr *txn.Manager) (*Table, func() error) {
-			points, _, _ := kmeans.GaussianMixture(400, 3, 2, 0.5, 7)
-			tables, err := kmeans.LoadTables(mgr, points, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return tables.Centroids, func() error {
-				_, err := kmeans.Run(mgr, tables, kmeans.Config{Exec: jc, Pool: pool, Epochs: 200, Seed: 1})
 				return err
 			}
 		}},
