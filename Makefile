@@ -1,7 +1,11 @@
 # Tier-1 gate: everything `make check` runs must stay green.
-.PHONY: check build vet test test-race-short bench-vet bench-smoke perf fuzz staticcheck obs flake
+.PHONY: check fmt build vet test test-race-short bench-vet bench-test bench-smoke perf fuzz staticcheck obs flake
 
-check: build vet test test-race-short bench-vet
+check: fmt build vet test test-race-short bench-vet bench-test
+
+# Fails when any Go file is not gofmt-formatted, and names the files.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 build:
 	go build ./...
@@ -24,6 +28,11 @@ test-race-short:
 # the benchmark unnoticed.
 bench-vet:
 	cd bench && go vet ./...
+
+# The benchmark module's own tests (its workload set-up and metric code), a
+# few seconds.
+bench-test:
+	cd bench && go test ./...
 
 # One fast pass over the benchmark harness to catch bit-rot without a full
 # benchmark run.

@@ -222,7 +222,6 @@ type openConfig struct {
 	regions     int
 	chaos       chaos.Injector
 	deadline    time.Duration
-	stall       time.Duration
 	retry       RetryPolicy
 	maxInflight int
 	admitWait   bool
@@ -233,7 +232,6 @@ type openConfig struct {
 	shardScheme partition.Scheme
 	walDir      string
 	walPolicy   wal.SyncPolicy
-	walInterval time.Duration
 	ckptEvery   time.Duration
 	crash       *chaos.Killer
 }
@@ -257,12 +255,6 @@ func WithChaos(inj FaultInjector) Option { return func(c *openConfig) { c.chaos 
 // that has not converged within d is retired and Wait reports
 // ErrJobDeadline. MLRun.Deadline overrides it per run; 0 disables.
 func WithDeadline(d time.Duration) Option { return func(c *openConfig) { c.deadline = d } }
-
-// WithStallTimeout arms the default progress watchdog: a job with no
-// iteration heartbeat for d — a sub-transaction wedged in user code, a
-// scheduling livelock — is convicted and Wait reports ErrJobStalled.
-// MLRun.StallTimeout overrides it per run; 0 disables.
-func WithStallTimeout(d time.Duration) Option { return func(c *openConfig) { c.stall = d } }
 
 // WithRetry sets the default abort-retry policy: a run that fails with a
 // retryable error (by default panicked or stalled jobs — the
@@ -568,8 +560,9 @@ type MLRun struct {
 	// (WithDeadline), which may itself be disabled.
 	Deadline time.Duration
 	// StallTimeout arms the progress watchdog for this run: no iteration
-	// heartbeat for that long convicts the job with ErrJobStalled. 0 uses
-	// the database default (WithStallTimeout).
+	// heartbeat for that long — a sub-transaction wedged in user code, a
+	// scheduling livelock — convicts the job with ErrJobStalled. 0
+	// disables it.
 	StallTimeout time.Duration
 	// Retry overrides the database's abort-retry policy (WithRetry) for
 	// this run; nil inherits the default. Retried attempts reuse this
@@ -614,7 +607,10 @@ type MLRun struct {
 	Chaos FaultInjector
 	// Recorder, when non-nil, records this run's isolation-relevant
 	// history for post-hoc invariant checking (see internal/check). nil
-	// keeps recording fully disabled at zero cost.
+	// keeps recording fully disabled at zero cost. Single-kernel runs
+	// only: a sharded database's SubmitML rejects a run with a Recorder,
+	// since each shard numbers its sub-transactions from zero (internal/check
+	// records sharded runs through the coordinator, one recorder per shard).
 	Recorder RunRecorder
 }
 

@@ -10,8 +10,8 @@ package db4ml
 // memory first, its redo record is appended (and fsynced per the sync
 // policy) second, and the caller is acknowledged only after the append. A
 // crash between publish and append therefore loses only an unacknowledged
-// commit — the committed-exactly-or-absent contract internal/crashsim
-// proves across every kill-point.
+// commit — the committed-exactly-or-absent contract the crash trials of
+// internal/check prove across every kill-point.
 //
 // Replay is idempotent: records apply in commit-timestamp order at their
 // ORIGINAL timestamps (txn.Prepared.CommitAt), per-row installs are skipped
@@ -59,7 +59,7 @@ const (
 	// it: every acknowledged commit is on disk.
 	WALSyncAlways = wal.SyncAlways
 	// WALSyncInterval acknowledges after the buffered write and fsyncs on a
-	// timer: a crash loses at most one interval of acknowledged commits.
+	// 2 ms timer: a crash loses at most one interval of acknowledged commits.
 	WALSyncInterval = wal.SyncInterval
 	// WALSyncNone never fsyncs; the OS flushes on its own schedule.
 	WALSyncNone = wal.SyncNone
@@ -95,11 +95,6 @@ func WithWAL(dir string) Option { return func(c *openConfig) { c.walDir = dir } 
 // WithWALSync selects the WAL fsync policy (default WALSyncAlways).
 func WithWALSync(p WALSyncPolicy) Option { return func(c *openConfig) { c.walPolicy = p } }
 
-// WithWALSyncInterval sets the timer for WALSyncInterval (default 2ms).
-func WithWALSyncInterval(d time.Duration) Option {
-	return func(c *openConfig) { c.walInterval = d }
-}
-
 // WithCheckpointEvery runs a fuzzy incremental checkpoint every interval on
 // a pool maintenance goroutine: workers are never stalled (the snapshot is
 // pinned, not locked), unchanged tables reuse their previously encoded
@@ -111,7 +106,7 @@ func WithCheckpointEvery(d time.Duration) Option {
 
 // WithCrashPoints arms a simulated crash at one durability kill-point; the
 // crash surfaces as ErrCrashed and freezes the WAL. Test/experiment only —
-// internal/crashsim drives the full kill-point matrix through it.
+// the crash trials of internal/check drive the kill-point matrix through it.
 func WithCrashPoints(k *CrashKiller) Option { return func(c *openConfig) { c.crash = k } }
 
 // durability is the shared durable-state machinery behind a DB or ShardedDB:
@@ -291,7 +286,6 @@ func recoverKernel(k durableKernel, oc openConfig, agg *introspect.Aggregator, t
 	d.log, err = wal.Open(wal.Options{
 		Dir:      oc.walDir,
 		Policy:   oc.walPolicy,
-		Interval: oc.walInterval,
 		Observer: d.obs,
 		Tracer:   tracer,
 		Killer:   oc.crash,

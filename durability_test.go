@@ -3,7 +3,7 @@ package db4ml
 // Durability facade tests: restart round-trips through WithWAL at one and
 // four shards, recovery idempotence, fuzzy checkpoints with WAL truncation,
 // and the crash kill-points' unacknowledged-and-absent contract. The
-// systematic kill-point matrix lives in internal/crashsim; these tests pin
+// systematic kill-point matrix lives in internal/check; these tests pin
 // the public API surface.
 
 import (

@@ -14,7 +14,7 @@ var ErrCrashed = errors.New("chaos: simulated crash")
 // crash (kill-point) fires. Unlike Point faults, a crash is terminal: the
 // kernel's durable state is frozen exactly as it was at the kill instant and
 // the in-memory state is discarded, which is what the recovery harness
-// (internal/crashsim) then recovers from.
+// (check.Run's crash trials) then recovers from.
 type CrashPoint uint8
 
 const (

@@ -11,7 +11,7 @@ package check
 //
 // CheckRecoveryAtomicity consumes the same probe/uber-commit event
 // vocabulary as CheckVisibility, but the probes are reads of the RECOVERED
-// kernel: the harness (internal/crashsim) runs a workload, "kills" the
+// kernel: a crash trial (see Crash) runs a workload, "kills" the
 // process at an injected crash point, recovers a fresh kernel from the
 // surviving log, and probes every row the workload owned.
 

@@ -147,7 +147,7 @@ func (co *Coordinator) SetTracer(t *trace.Tracer) { co.tracer = t }
 // coordinator simulates a process death before prepare, after prepare, or
 // between per-shard commit applications (the classic 2PC window), failing
 // the run with chaos.ErrCrashed instead of acknowledging an outcome. The
-// recovery harness (internal/crashsim) then proves that restart-from-log
+// recovery harness (check.Run's crash trials) proves that restart-from-log
 // restores committed-exactly-or-absent across the window.
 func (co *Coordinator) SetCrash(k *chaos.Killer) { co.crash = k }
 
@@ -480,9 +480,9 @@ func (co *Coordinator) resolve(h *Handle, run UberRun, ubers []*itx.Uber, rz *Re
 }
 
 // distinctRecorders collects the unique RunRecorders across all shard
-// plans, so an outcome event fires once per recorder even when every shard
-// shares one (the facade's single-recorder convention) and once per shard
-// when each shard records separately (the invariant harness).
+// plans, so an outcome event fires once per recorder: once per shard when
+// each shard records separately (the invariant harness), and once when
+// several shards share one.
 func distinctRecorders(run UberRun) []RunRecorder {
 	var out []RunRecorder
 	for i := range run.Plans {

@@ -8,7 +8,7 @@
 // is acknowledged under the configured policy. A crash between publish and
 // append therefore loses an *unacknowledged* commit — exactly the
 // "committed-exactly-or-absent" contract the recovery harness
-// (internal/crashsim) verifies.
+// (check.Run's crash trials) verifies.
 //
 // On-disk layout: numbered segment files ("wal-%016x.seg"), each a fixed
 // header (magic, version, first LSN) followed by frames of

@@ -218,8 +218,8 @@ func TestShardedDebugServerEndToEnd(t *testing.T) {
 		}
 	}
 
-	prepares := make(map[float64]int)  // correlation id → prepare span count
-	windows := make(map[float64]bool)  // correlation id → commit-window seen
+	prepares := make(map[float64]int) // correlation id → prepare span count
+	windows := make(map[float64]bool) // correlation id → commit-window seen
 	kinds := make(map[string]bool)
 	for _, ev := range doc.TraceEvents {
 		if ev.Ph == "M" {

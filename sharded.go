@@ -105,8 +105,9 @@ type ShardedDB struct {
 // OpenSharded creates an empty sharded database and starts every shard's
 // worker pool. All single-kernel options apply per shard (WithWorkers
 // sizes each shard's pool, WithVersionGC runs one reclaimer per shard,
-// supervision defaults cover distributed runs); WithDebugServer is not
-// supported on a sharded database yet and panics.
+// supervision defaults cover distributed runs), and WithDebugServer serves
+// the cluster-wide surface: merged /metrics and /debug/trace plus the
+// per-shard /debug/shards breakdown.
 func OpenSharded(opts ...Option) *ShardedDB {
 	oc := openConfig{shardScheme: ShardHash}
 	for _, o := range opts {
@@ -632,6 +633,11 @@ func (db *ShardedDB) SubmitML(ctx context.Context, run MLRun) (*ShardedJobHandle
 func (db *ShardedDB) uberRun(run MLRun, set settings) (shard.UberRun, []*Observer, error) {
 	if len(run.Attach) == 0 {
 		return shard.UberRun{}, nil, fmt.Errorf("db4ml: a sharded ML run must attach at least one table")
+	}
+	if run.Recorder != nil {
+		// Every shard's pool numbers its sub-transactions from zero, so one
+		// recorder shared by all shards would merge distinct subs.
+		return shard.UberRun{}, nil, fmt.Errorf("db4ml: MLRun.Recorder is not supported on a sharded database")
 	}
 	n := db.cluster.Shards()
 

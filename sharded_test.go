@@ -13,6 +13,7 @@ import (
 	"db4ml/internal/metrics"
 	"db4ml/internal/ml/pagerank"
 	"db4ml/internal/ml/sgd"
+	"db4ml/internal/storage"
 	"db4ml/internal/svm"
 	"db4ml/internal/txn"
 )
@@ -179,6 +180,53 @@ func TestShardedRunMLDegenerateErrors(t *testing.T) {
 	}
 	if _, err := db.RunQuery(context.Background(), QueryRun{Plan: Scan(tbl)}); err != nil {
 		t.Fatalf("well-formed query rejected after failed submissions: %v", err)
+	}
+}
+
+// nopRecorder is a RunRecorder that drops every event.
+type nopRecorder struct{}
+
+func (nopRecorder) ObserveRead(int, int, uint64, *storage.IterativeRecord, uint64, uint64) {}
+func (nopRecorder) ObserveValidation(int, int, uint64, *storage.IterativeRecord, uint64, uint64, bool) {
+}
+func (nopRecorder) ObserveInstall(int, int, uint64, *storage.IterativeRecord, uint64) {}
+func (nopRecorder) ObserveOutcome(int, int, uint64, Action, bool)                     {}
+func (nopRecorder) RecordBarrier(uint64, int32)                                       {}
+func (nopRecorder) RecordUberCommit(Timestamp)                                        {}
+func (nopRecorder) RecordUberAbort()                                                  {}
+
+// TestShardedSubmitMLRejectsRecorder: every shard's pool numbers its
+// sub-transactions from zero, so one MLRun.Recorder shared by all shards
+// would record distinct subs under one id. SubmitML refuses such a run
+// before anything begins: no handle, the admission slot released, and no
+// snapshot left pinned on any shard.
+func TestShardedSubmitMLRejectsRecorder(t *testing.T) {
+	const n = 8
+	db, tbl := openShardedCounters(t, 2, n, WithMaxInflight(1))
+	defer db.Close()
+	subs := make([]IterativeTransaction, n)
+	for i := range subs {
+		subs[i] = &incSub{tbl: tbl, row: RowID(i), target: 1}
+	}
+	run := MLRun{
+		Isolation: MLOptions{Level: Asynchronous},
+		Attach:    []Attachment{{Table: tbl}},
+		Subs:      subs,
+		Recorder:  nopRecorder{},
+	}
+	if h, err := db.SubmitML(context.Background(), run); err == nil || h != nil {
+		t.Fatalf("sharded run with a recorder accepted (handle %v, err %v)", h, err)
+	}
+	for s, m := range db.managers() {
+		if pins := m.ActiveSnapshots(); pins != 0 {
+			t.Fatalf("shard %d: %d snapshots pinned after the refused run", s, pins)
+		}
+	}
+	// The slot was released: under WithMaxInflight(1) the same run without
+	// a recorder still gets in.
+	run.Recorder = nil
+	if _, err := db.RunML(run); err != nil {
+		t.Fatalf("run without a recorder rejected after the refused one: %v", err)
 	}
 }
 

@@ -27,7 +27,6 @@ import (
 // the debug table.
 type supervisor struct {
 	deadline  time.Duration
-	stall     time.Duration
 	retry     RetryPolicy
 	gate      *resilience.Gate
 	admitWait bool
@@ -54,7 +53,6 @@ func newSupervisor(oc *openConfig) supervisor {
 	}
 	return supervisor{
 		deadline:  oc.deadline,
-		stall:     oc.stall,
 		retry:     oc.retry,
 		gate:      resilience.NewGate(oc.maxInflight),
 		admitWait: oc.admitWait,
@@ -117,9 +115,6 @@ func (s *supervisor) settings(run MLRun) settings {
 	out := settings{deadline: run.Deadline, stall: run.StallTimeout, policy: s.retry, batch: run.BatchSize}
 	if out.deadline <= 0 {
 		out.deadline = s.deadline
-	}
-	if out.stall <= 0 {
-		out.stall = s.stall
 	}
 	if run.Retry != nil {
 		out.policy = *run.Retry
