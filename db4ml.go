@@ -476,9 +476,10 @@ func (db *DB) createTable(name string, cols []Column, d *durability) (*Table, er
 	return t, nil
 }
 
-// loadAt appends rows to tbl in one publish at ts (recovery's bulk load).
+// loadAt appends rows to tbl in one publish at ts (recovery's bulk load):
+// one bulk append that takes the decoded payloads over.
 func (db *DB) loadAt(tbl *Table, ts Timestamp, rows []Payload) (err error) {
-	db.publishAt(ts, func(ts Timestamp) { err = appendRows(tbl, ts, rows) })
+	db.publishAt(ts, func(ts Timestamp) { _, err = tbl.AppendOwned(ts, rows) })
 	return err
 }
 

@@ -19,6 +19,12 @@ package db4ml
 // carry their first row id and skip already-present rows, and table
 // creations skip existing tables. Replaying the same tail twice yields
 // bit-identical tables.
+//
+// A restart decodes the log once: wal.Open's scan decodes every record
+// and recovery replays those (wal.Log.Recovered). Loaded rows and
+// checkpoint rows are installed in bulk (table.Table.AppendOwned), and
+// replayed commit versions come from one recovery-scoped
+// storage.RecordArena.
 
 import (
 	"bytes"
@@ -231,7 +237,8 @@ type durableKernel interface {
 	tableList() []*Table
 	// mutations is tbl's checkpoint change detector (Table.Mutations).
 	mutations(tbl *Table) uint64
-	// loadAt appends rows to tbl in one publish at ts.
+	// loadAt appends rows to tbl in one publish at ts, taking ownership
+	// of the payloads; a nil row is an absent slot and gets a tombstone.
 	loadAt(tbl *Table, ts Timestamp, rows []Payload) error
 	// publishAt runs publish once, inside one publish at ts on every
 	// manager; ts must be at or above every stable watermark.
@@ -243,7 +250,8 @@ type durableKernel interface {
 // recoverKernel rebuilds k from the newest valid checkpoint in oc.walDir
 // plus the WAL tail, and returns the armed durability state: the
 // checkpoint's tables are recreated with their rows published at its
-// timestamp, the WAL is opened (truncating any torn tail), the records the
+// timestamp and their absent slots tombstoned, the WAL is opened
+// (truncating any torn tail), the records its scan decoded that the
 // checkpoint does not cover are replayed, and every stable watermark moves
 // to the newest replayed timestamp. Durability is armed only after replay,
 // so replay never re-logs what it applies. agg, when non-nil, receives the
@@ -262,8 +270,8 @@ func recoverKernel(k durableKernel, oc openConfig, agg *introspect.Aggregator, t
 			if err != nil {
 				return nil, err
 			}
-			if len(dec.Rows) > 0 {
-				if err := k.loadAt(tbl, ckpt.TS, dec.Rows); err != nil {
+			if slots := dec.Slots(); len(slots) > 0 {
+				if err := k.loadAt(tbl, ckpt.TS, slots); err != nil {
 					return nil, err
 				}
 			}
@@ -298,16 +306,16 @@ func recoverKernel(k durableKernel, oc openConfig, agg *introspect.Aggregator, t
 			_ = d.log.Close()
 		}
 	}()
-	recs, err := wal.Records(oc.walDir)
-	if err != nil {
-		return nil, err
-	}
 
+	// Replayed commit versions come from one arena that lives as long as
+	// this recovery: its chunks outlive it only through the versions they
+	// hold.
+	var arena storage.RecordArena
 	maxTS := ckpt.TS
 	replayed := 0
-	for _, rec := range replayOrder(recs, ckpt.LSN, ckpt.TS) {
+	for _, rec := range replayOrder(d.log.Recovered(), ckpt.LSN, ckpt.TS) {
 		replayAt := tracer.Now()
-		applied, err := replay(k, rec)
+		applied, err := replay(k, rec, &arena)
 		if err != nil {
 			return nil, err
 		}
@@ -358,8 +366,11 @@ func replayOrder(recs []*wal.Record, ckptLSN uint64, ckptTS Timestamp) []*wal.Re
 // whether it applied anything. Every kind is idempotent: creations skip
 // existing tables and loads skip the rows already present — both then
 // report false, so recovery neither counts nor spans them — and commits
-// skip rows already at or past the record.
-func replay(k durableKernel, rec *wal.Record) (bool, error) {
+// skip rows already at or past the record. A load that starts past the
+// table's end (an unacknowledged concurrent load was lost in the crash)
+// tombstones the gap, so its rows land at their logged ids. Commit
+// versions come from arena.
+func replay(k durableKernel, rec *wal.Record, arena *storage.RecordArena) (bool, error) {
 	switch rec.Kind {
 	case wal.KindCreateTable:
 		if k.Table(rec.Table) != nil {
@@ -373,8 +384,12 @@ func replay(k durableKernel, rec *wal.Record) (bool, error) {
 			return false, fmt.Errorf("load record for unknown table %q", rec.Table)
 		}
 		rows := rec.Rows
-		if have := uint64(tbl.NumRows()); have > rec.FirstRow {
+		switch have := uint64(tbl.NumRows()); {
+		case have > rec.FirstRow:
 			rows = rows[min(have-rec.FirstRow, uint64(len(rows))):]
+		case have < rec.FirstRow && len(rows) > 0:
+			gap := rec.FirstRow - have
+			rows = append(make([]Payload, gap, gap+uint64(len(rows))), rows...)
 		}
 		if len(rows) == 0 {
 			return false, nil
@@ -384,7 +399,7 @@ func replay(k durableKernel, rec *wal.Record) (bool, error) {
 		k.publishAt(rec.TS, func(ts Timestamp) {
 			for _, tu := range rec.Tables {
 				if tbl := k.Table(tu.Table); tbl != nil {
-					installReplay(tbl, tu, ts)
+					installReplay(tbl, tu, ts, arena)
 				}
 			}
 		})
@@ -394,19 +409,21 @@ func replay(k durableKernel, rec *wal.Record) (bool, error) {
 
 // installReplay applies one commit record's after-images onto a table's
 // chains at ts, skipping rows whose head version is already at or past ts —
-// the per-row idempotence guard that makes double replay a no-op.
-func installReplay(tbl *table.Table, tu wal.TableUpdate, ts Timestamp) {
+// the per-row idempotence guard that makes double replay a no-op. The
+// versions take the record's payloads and come from arena.
+func installReplay(tbl *table.Table, tu wal.TableUpdate, ts Timestamp, arena *storage.RecordArena) {
+	slots := tbl.Slots()
 	installed := false
 	for _, ru := range tu.Rows {
-		chain := tbl.Chain(RowID(ru.Row))
-		if chain == nil {
+		if ru.Row >= uint64(len(slots)) {
 			continue
 		}
+		chain := slots[ru.Row]
 		head := chain.Head()
 		if head != nil && head.Begin() >= ts {
 			continue
 		}
-		chain.Install(head, storage.NewRecord(ts, ru.Payload))
+		chain.Install(head, arena.New(ts, ru.Payload))
 		installed = true
 	}
 	if installed {

@@ -10,10 +10,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"db4ml/internal/checkpoint"
+	"db4ml/internal/storage"
 	"db4ml/internal/txn"
 	"db4ml/internal/wal"
 )
@@ -314,9 +316,10 @@ func TestInstallReplayIdempotent(t *testing.T) {
 	p.SetFloat64(1, 42)
 	ts := db.Stable() + 1
 	tu := wal.TableUpdate{Table: tbl.Name(), Rows: []wal.RowUpdate{{Row: 0, Payload: p}}}
-	db.mgr.Prepare().CommitAt(ts, func(ts Timestamp) { installReplay(tbl, tu, ts) })
+	var arena storage.RecordArena
+	db.mgr.Prepare().CommitAt(ts, func(ts Timestamp) { installReplay(tbl, tu, ts, &arena) })
 	want := tbl.Chain(0).Len()
-	db.mgr.Prepare().CommitAt(ts, func(ts Timestamp) { installReplay(tbl, tu, ts) })
+	db.mgr.Prepare().CommitAt(ts, func(ts Timestamp) { installReplay(tbl, tu, ts, &arena) })
 	if got := tbl.Chain(0).Len(); got != want {
 		t.Fatalf("second replay grew the chain: %d -> %d", want, got)
 	}
@@ -622,4 +625,147 @@ func TestWALSyncPolicies(t *testing.T) {
 			wantValues(t, dump(t, db2.Begin(), tbl2, n), 2)
 		})
 	}
+}
+
+// wantRowIDs checks a recovered Counter-shaped table row by row: it holds
+// rows slots, the absent ones read as missing, and every other row reads
+// its own id in column 0.
+func wantRowIDs(t *testing.T, name string, rd rowReader, tbl *Table, rows int, absent ...RowID) {
+	t.Helper()
+	if n := tbl.NumRows(); n != rows {
+		t.Fatalf("%s: %d row slots, want %d", name, n, rows)
+	}
+	for i := 0; i < rows; i++ {
+		p, ok := rd.Read(tbl, RowID(i))
+		if slices.Contains(absent, RowID(i)) {
+			if ok {
+				t.Fatalf("%s: absent row %d reads %v", name, i, p)
+			}
+			continue
+		}
+		if !ok || p.Int64(0) != int64(i) {
+			t.Fatalf("%s: row %d = %v (present %v), want id %d", name, i, p, ok, i)
+		}
+	}
+}
+
+// reopenRowIDs reopens dir in a single kernel and on two shards and checks
+// the table named name in each with wantRowIDs.
+func reopenRowIDs(t *testing.T, dir, name string, rows int, absent ...RowID) {
+	t.Helper()
+	db := Open(WithWAL(dir), WithWorkers(1))
+	tx := db.Begin()
+	wantRowIDs(t, "single", tx, db.Table(name), rows, absent...)
+	tx.Abort()
+	db.Close()
+	sdb := OpenSharded(WithShards(2), WithWorkers(1), WithWAL(dir))
+	dtx := sdb.Begin()
+	wantRowIDs(t, "2shards", dtx, sdb.Table(name), rows, absent...)
+	dtx.Close()
+	sdb.Close()
+}
+
+// TestCheckpointKeepsRowIDsPastDeletedRow deletes a row, checkpoints, and
+// loads one more row: the restored deleted slot must stay a slot (a
+// tombstone), or every later row — checkpointed or replayed from the WAL
+// tail — shifts onto its neighbour's id.
+func TestCheckpointKeepsRowIDsPastDeletedRow(t *testing.T) {
+	const n = 8
+	dir := t.TempDir()
+	db, tbl := openDurable(t, dir, true, n)
+	tx := db.Begin()
+	if err := tx.Delete(tbl, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.BulkLoad(tbl, []Payload{{n, 0}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopenRowIDs(t, dir, "Counter", n+1, 2)
+}
+
+// TestReplayLoadPastTableEndPadsGap replays a load logged at row 3 of a
+// table that recovery rebuilt empty — what a crash leaves when an
+// unacknowledged concurrent load is lost while a later one was logged.
+// The gap must become tombstones and the load must land at its logged ids.
+func TestReplayLoadPastTableEndPadsGap(t *testing.T) {
+	dir := t.TempDir()
+	l, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []*wal.Record{
+		{Kind: wal.KindCreateTable, Table: "T", Cols: []Column{{Name: "ID", Type: Int64}}},
+		{Kind: wal.KindLoad, TS: 1, Table: "T", FirstRow: 3, Rows: []Payload{{3}, {4}}},
+	} {
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopenRowIDs(t, dir, "T", 5, 0, 1, 2)
+}
+
+// TestRestartAllocsScaleWithRecords prices a restart's allocations on two
+// logs that differ only in the size of their bulk load: restart decodes
+// and installs per log record, not per row, so 18 000 more loaded rows
+// may cost only a few allocations more.
+func TestRestartAllocsScaleWithRecords(t *testing.T) {
+	restart := func(rows int) float64 {
+		dir := t.TempDir()
+		l, err := wal.Open(wal.Options{Dir: dir, Policy: WALSyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		load := make([]Payload, rows)
+		for i := range load {
+			load[i] = Payload{uint64(i), 0}
+		}
+		recs := []*wal.Record{
+			{Kind: wal.KindCreateTable, Table: "Counter", Cols: []Column{
+				{Name: "ID", Type: Int64}, {Name: "Value", Type: Float64}}},
+			{Kind: wal.KindLoad, TS: 1, Table: "Counter", Rows: load},
+		}
+		for c := 0; c < 20; c++ {
+			tu := wal.TableUpdate{Table: "Counter", Rows: make([]wal.RowUpdate, 256)}
+			for i := range tu.Rows {
+				tu.Rows[i] = wal.RowUpdate{Row: uint64(i), Payload: Payload{uint64(i), uint64(c + 1)}}
+			}
+			recs = append(recs, &wal.Record{Kind: wal.KindCommit, TS: Timestamp(c + 2), Tables: []wal.TableUpdate{tu}})
+		}
+		for _, rec := range recs {
+			if err := l.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		db := Open(WithWAL(dir), WithWorkers(1))
+		allocs := testing.AllocsPerRun(3, func() {
+			db.Close()
+			db = Open(WithWAL(dir), WithWorkers(1))
+		})
+		if n := db.Table("Counter").NumRows(); n != rows {
+			t.Fatalf("recovered %d rows, want %d", n, rows)
+		}
+		db.Close()
+		return allocs
+	}
+	small, large := restart(2000), restart(20000)
+	if large-small >= 100 {
+		t.Fatalf("restart allocations: %.0f for 2 000 loaded rows, %.0f for 20 000 (+%.0f, want < 100)",
+			small, large, large-small)
+	}
+	t.Logf("restart allocations: %.0f (2 000 rows), %.0f (20 000 rows)", small, large)
 }

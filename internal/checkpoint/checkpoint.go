@@ -3,16 +3,27 @@
 // prototype is purely in-memory; this is the natural extension its Section 1
 // hints at ("can be extended towards disk-based DBMSs").
 //
-// Format v2 is a CRC32C-framed, little-endian, length-prefixed stream:
+// Format v3 is a CRC32C-framed, little-endian, length-prefixed stream:
 //
-//	magic "DB4M" | version byte (2)
+//	magic "DB4M" | version byte (3)
 //	frame{ meta: ts u64, lsn u64, ntables u32 }
 //	frame{ table section } × ntables
 //
-// where each frame is [payload length u32][crc32c(payload) u32][payload].
-// A table section carries the name, schema, secondary-index definitions
-// (which v1 silently dropped), and the full-row snapshot visible at the
-// checkpoint timestamp. A bit-flipped or truncated stream yields ErrCorrupt
+// where each frame is [payload length u32][crc32c(payload) u32][payload],
+// and a table section is
+//
+//	name | ncols u32 | (name, type u8) × ncols | hash-index columns |
+//	tree-index columns | nrows u64 | row × nrows | slots u64 |
+//	absent row id u64 × (slots − nrows)
+//
+// A row is the full-row payload visible at the checkpoint timestamp, in
+// row-id order. slots is the table's row-slot count at the checkpoint and
+// the absent ids (ascending) name the slots that hold no row there —
+// deleted, or reclaimed whole by the version GC — so a restore puts a
+// tombstone in each and every row keeps its id. v2 streams, whose sections
+// end at the rows, still decode: their tables have no absent slots (v2
+// compacted a table past its deleted rows). Index definitions are
+// persisted since v2. A bit-flipped or truncated stream yields ErrCorrupt
 // or ErrTruncated — never a panic, never a half-loaded table.
 //
 // The meta frame's LSN ties a checkpoint to the write-ahead log
@@ -22,6 +33,7 @@ package checkpoint
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -37,7 +49,7 @@ import (
 // changes.
 var magic = [4]byte{'D', 'B', '4', 'M'}
 
-const formatVersion = 2
+const formatVersion = 3
 
 var (
 	// ErrTruncated marks a stream that ends mid-frame or with fewer table
@@ -66,26 +78,48 @@ type Meta struct {
 }
 
 // Decoded is one table section read back from a stream, ready to rebuild.
+// Rows are the rows present at the checkpoint in row-id order, carved from
+// one slab; Absent are the ids of the row slots that hold no row there.
 type Decoded struct {
 	Name    string
 	Cols    []table.Column
 	HashIdx []string
 	TreeIdx []string
 	Rows    []storage.Payload
+	Absent  []uint64
+}
+
+// Slots lays the section out by row id, one entry per row slot, with nil at
+// each absent slot — the input table.Table.AppendOwned restores from.
+// Without absent slots it is Rows itself.
+func (d *Decoded) Slots() []storage.Payload {
+	if len(d.Absent) == 0 {
+		return d.Rows
+	}
+	out := make([]storage.Payload, len(d.Rows)+len(d.Absent))
+	rows, absent := d.Rows, d.Absent
+	for i := range out {
+		if len(absent) > 0 && absent[0] == uint64(i) {
+			absent = absent[1:]
+			continue
+		}
+		out[i], rows = rows[0], rows[1:]
+	}
+	return out
 }
 
 // Build materializes the decoded section as a fresh table whose rows are
-// all visible from ts on, with the persisted secondary indexes recreated.
+// all visible from ts on, absent slots tombstoned, with the persisted
+// secondary indexes recreated. The table takes ownership of the decoded
+// payloads.
 func (d *Decoded) Build(ts storage.Timestamp) (*table.Table, error) {
 	schema, err := table.NewSchema(d.Cols...)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	tbl := table.New(d.Name, schema)
-	for _, p := range d.Rows {
-		if _, err := tbl.Append(ts, p); err != nil {
-			return nil, fmt.Errorf("checkpoint: %w", err)
-		}
+	if _, err := tbl.AppendOwned(ts, d.Slots()); err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	if err := d.CreateIndexes(tbl); err != nil {
 		return nil, err
@@ -127,9 +161,10 @@ func (e *encBuf) strs(ss []string) {
 }
 
 // EncodeTable renders one table's section payload: the schema, the index
-// definitions, and every row visible at ts. The returned bytes are
-// position-independent, so the fuzzy checkpointer caches them across passes
-// for tables whose mutation counter has not moved.
+// definitions, every row visible at ts, and the row slots that hold no row
+// at ts. The returned bytes are position-independent, so the fuzzy
+// checkpointer caches them across passes for tables whose mutation counter
+// has not moved.
 func EncodeTable(tbl *table.Table, ts storage.Timestamp) []byte {
 	var e encBuf
 	e.str(tbl.Name())
@@ -144,15 +179,34 @@ func EncodeTable(tbl *table.Table, ts storage.Timestamp) []byte {
 	e.strs(tree)
 	nrowsAt := len(e.b)
 	e.u64(0) // row count, patched below
-	var n uint64
-	tbl.Scan(ts, func(_ table.RowID, p storage.Payload) bool {
-		for _, w := range p {
-			e.u64(w)
+	var n, slots uint64
+	var absent []uint64
+	for i, c := range tbl.Slots() {
+		rec := c.VisibleAt(ts)
+		if rec != nil && !rec.Deleted {
+			for _, w := range rec.Payload {
+				e.u64(w)
+			}
+			n++
+			slots = uint64(i) + 1
+			continue
 		}
-		n++
-		return true
-	})
+		absent = append(absent, uint64(i))
+		if rec != nil || c.Head() == nil {
+			// Deleted at ts, or reclaimed whole by the GC: a slot at ts.
+			// A chain with no version at or before ts is a slot only if a
+			// later one is — otherwise it was appended after the cut.
+			slots = uint64(i) + 1
+		}
+	}
 	binary.LittleEndian.PutUint64(e.b[nrowsAt:], n)
+	e.u64(slots)
+	for _, id := range absent {
+		if id >= slots {
+			break
+		}
+		e.u64(id)
+	}
 	return e.b
 }
 
@@ -258,6 +312,31 @@ func (d *decBuf) strs() ([]string, error) {
 	return out, nil
 }
 
+// absent reads a v3 section's trailer — the slot count and the ascending
+// ids of the slots that hold none of the section's nrows rows.
+func (d *decBuf) absent(nrows uint64) ([]uint64, error) {
+	slots, err := d.u64()
+	if err != nil {
+		return nil, err
+	}
+	if slots < nrows || slots > maxCount || slots-nrows != uint64(d.remaining()/8) {
+		return nil, fmt.Errorf("%w: implausible slot count %d for %d rows", ErrCorrupt, slots, nrows)
+	}
+	if slots == nrows {
+		return nil, nil
+	}
+	out := make([]uint64, slots-nrows)
+	for i := range out {
+		if out[i], err = d.u64(); err != nil {
+			return nil, err
+		}
+		if out[i] >= slots || (i > 0 && out[i] <= out[i-1]) {
+			return nil, fmt.Errorf("%w: absent row id %d out of order", ErrCorrupt, out[i])
+		}
+	}
+	return out, nil
+}
+
 // readFrame reads one frame, verifying length sanity and CRC. io.EOF at a
 // frame boundary is returned as-is so callers can distinguish "stream ended
 // cleanly" from "stream tore mid-frame" (ErrTruncated).
@@ -274,20 +353,24 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if plen > maxPayloadLen {
 		return nil, fmt.Errorf("%w: frame length %d", ErrCorrupt, plen)
 	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// The length prefix is untrusted until its bytes arrive: the buffer
+	// grows with what is actually read, so a torn stream claiming a huge
+	// frame cannot demand that much memory up front.
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, r, int64(plen)); err != nil {
 		return nil, ErrTruncated
 	}
+	payload := buf.Bytes()
 	if crc32.Checksum(payload, castagnoli) != crc {
 		return nil, fmt.Errorf("%w: frame crc mismatch", ErrCorrupt)
 	}
 	return payload, nil
 }
 
-// decodeSection parses one table-section payload. Every length is validated
-// against the remaining bytes before allocation; hostile input cannot panic
-// or balloon memory.
-func decodeSection(b []byte) (*Decoded, error) {
+// decodeSection parses one table-section payload of format version ver.
+// Every length is validated against the remaining bytes before allocation;
+// hostile input cannot panic or balloon memory.
+func decodeSection(b []byte, ver byte) (*Decoded, error) {
 	d := decBuf{b: b}
 	out := &Decoded{}
 	var err error
@@ -333,14 +416,20 @@ func decodeSection(b []byte) (*Decoded, error) {
 		return nil, fmt.Errorf("%w: implausible row count %d", ErrCorrupt, nr)
 	}
 	out.Rows = make([]storage.Payload, nr)
+	slab := storage.NewSlab(int(nr), width)
 	for i := range out.Rows {
-		p := make(storage.Payload, width)
+		p := slab.Row(i)
 		for j := range p {
 			if p[j], err = d.u64(); err != nil {
 				return nil, err
 			}
 		}
 		out.Rows[i] = p
+	}
+	if ver >= 3 {
+		if out.Absent, err = d.absent(nr); err != nil {
+			return nil, err
+		}
 	}
 	if d.remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes in section", ErrCorrupt, d.remaining())
@@ -366,8 +455,8 @@ func ReadStream(r io.Reader) (Meta, []*Decoded, error) {
 	if err != nil {
 		return meta, nil, ErrTruncated
 	}
-	if ver != formatVersion {
-		return meta, nil, fmt.Errorf("%w: %d (want %d)", ErrVersion, ver, formatVersion)
+	if ver != 2 && ver != formatVersion {
+		return meta, nil, fmt.Errorf("%w: %d (want 2 or %d)", ErrVersion, ver, formatVersion)
 	}
 	mb, err := readFrame(br)
 	if err != nil {
@@ -406,7 +495,7 @@ func ReadStream(r io.Reader) (Meta, []*Decoded, error) {
 			}
 			return meta, nil, err
 		}
-		dec, err := decodeSection(sb)
+		dec, err := decodeSection(sb, ver)
 		if err != nil {
 			return meta, nil, err
 		}
@@ -415,8 +504,8 @@ func ReadStream(r io.Reader) (Meta, []*Decoded, error) {
 	return meta, tables, nil
 }
 
-// Save writes the snapshot of tbl visible at ts as a single-table v2
-// stream. Unlike v1, index definitions are persisted and restored.
+// Save writes the snapshot of tbl visible at ts as a single-table stream,
+// index definitions and absent row slots included.
 func Save(w io.Writer, tbl *table.Table, ts storage.Timestamp) error {
 	return WriteStream(w, Meta{TS: ts}, [][]byte{EncodeTable(tbl, ts)})
 }

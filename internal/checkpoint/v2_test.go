@@ -2,10 +2,12 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"db4ml/internal/storage"
@@ -220,5 +222,126 @@ func TestLatestValidEmptyDir(t *testing.T) {
 	seq, err := NextSeq(t.TempDir())
 	if err != nil || seq != 1 {
 		t.Fatalf("NextSeq empty = %d, %v", seq, err)
+	}
+}
+
+// deleteRow tombstones row at ts, as a committed Txn.Delete would.
+func deleteRow(t *testing.T, tbl *table.Table, row table.RowID, ts storage.Timestamp) {
+	t.Helper()
+	c := tbl.Chain(row)
+	rec := storage.NewRecord(ts, tbl.Schema().NewPayload())
+	rec.Deleted = true
+	if !c.Install(c.Head(), rec) {
+		t.Fatal("tombstone install lost")
+	}
+}
+
+// TestAbsentSlotsRoundTrip checkpoints a table with a deleted middle row,
+// a deleted last row, and a row appended after the cut: the section keeps
+// both deleted slots as absent ids, leaves the later row out entirely, and
+// a rebuild puts every present row back at its own id.
+func TestAbsentSlotsRoundTrip(t *testing.T) {
+	tbl := buildTable(t, "m", 8)
+	deleteRow(t, tbl, 2, 2)
+	deleteRow(t, tbl, 7, 2)
+	if _, err := tbl.Append(5, storage.Payload{8, 80}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Save(&buf, tbl, 3); err != nil {
+		t.Fatal(err)
+	}
+	_, tables, err := ReadStream(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := tables[0]
+	if len(d.Rows) != 6 || !reflect.DeepEqual(d.Absent, []uint64{2, 7}) {
+		t.Fatalf("%d rows, absent %v; want 6 rows, absent [2 7]", len(d.Rows), d.Absent)
+	}
+	rebuilt, err := d.Build(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rebuilt.NumRows() != 8 {
+		t.Fatalf("rebuilt %d row slots, want 8", rebuilt.NumRows())
+	}
+	for i := 0; i < 8; i++ {
+		p, ok := rebuilt.Read(table.RowID(i), 3)
+		if absent := i == 2 || i == 7; absent == ok {
+			t.Fatalf("row %d present %v", i, ok)
+		}
+		if ok && p[0] != uint64(i) {
+			t.Fatalf("row %d reads id %d", i, p[0])
+		}
+	}
+}
+
+// TestV2StreamStillDecodes reads a stream in the previous format, whose
+// sections end at the rows: it decodes with no absent slots.
+func TestV2StreamStillDecodes(t *testing.T) {
+	tbl := buildTable(t, "m", 4)
+	sec := EncodeTable(tbl, 1)
+	var buf bytes.Buffer
+	buf.Write(magic[:])
+	buf.WriteByte(2)
+	var m encBuf
+	m.u64(1)
+	m.u64(7)
+	m.u32(1)
+	if err := writeFrame(&buf, m.b); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(&buf, sec[:len(sec)-8]); err != nil { // drop the v3 slot count
+		t.Fatal(err)
+	}
+	meta, tables, err := ReadStream(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.LSN != 7 || len(tables) != 1 || len(tables[0].Rows) != 4 || tables[0].Absent != nil {
+		t.Fatalf("v2 decode: meta %+v, %d tables", meta, len(tables))
+	}
+}
+
+// TestBadAbsentTrailerIsErrCorrupt patches a section's slot count and
+// absent ids into shapes no encoder writes.
+func TestBadAbsentTrailerIsErrCorrupt(t *testing.T) {
+	tbl := buildTable(t, "m", 4)
+	deleteRow(t, tbl, 1, 2)
+	sec := EncodeTable(tbl, 3) // 3 rows, slots 4, absent [1]
+	for name, patch := range map[string]func(b []byte){
+		"slots-below-rows": func(b []byte) { binary.LittleEndian.PutUint64(b[len(b)-16:], 2) },
+		"id-past-slots":    func(b []byte) { binary.LittleEndian.PutUint64(b[len(b)-8:], 4) },
+		"missing-ids":      func(b []byte) { binary.LittleEndian.PutUint64(b[len(b)-16:], 5) },
+	} {
+		b := append([]byte(nil), sec...)
+		patch(b)
+		var buf bytes.Buffer
+		if err := WriteStream(&buf, Meta{TS: 3}, [][]byte{b}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ReadStream(&buf); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// TestTornHugeFrameAllocatesOnlyWhatArrives reads a stream whose meta frame
+// claims 64 MiB but holds a few bytes: the reader must report ErrTruncated
+// without first allocating the claimed length.
+func TestTornHugeFrameAllocatesOnlyWhatArrives(t *testing.T) {
+	var head [frameHeadLen]byte
+	binary.LittleEndian.PutUint32(head[0:], 64<<20)
+	stream := append(append([]byte("DB4M\x03"), head[:]...), "torn"...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadStream(bytes.NewReader(stream))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("torn huge frame: %v, want ErrTruncated", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("reading a 4-byte torn frame allocated %d bytes", got)
 	}
 }

@@ -132,12 +132,19 @@ func (t *Table) LocalRows(rows []table.RowID) ([][]table.RowID, error) {
 // placement — physically placed rows cannot move — and overflow rows clamp
 // into the last shard; prefer one Load per Range table.
 func (t *Table) Load(c *Cluster, rows []storage.Payload) (storage.Timestamp, error) {
+	for gi, p := range rows {
+		if p == nil {
+			return 0, fmt.Errorf("shard: table %s: nil row %d", t.name, gi)
+		}
+	}
 	return t.load(c, rows, c.PublishAll)
 }
 
 // LoadAt is Load at a caller-chosen timestamp (Cluster.PublishAllAt) — the
 // recovery path, which replays a logged bulk load at its original commit
 // timestamp so the recovered table is bit-identical to the pre-crash one.
+// A nil row is an absent slot (a row deleted before a checkpoint, or a gap
+// a lost load left): it gets a tombstone, so later rows keep their ids.
 func (t *Table) LoadAt(c *Cluster, ts storage.Timestamp, rows []storage.Payload) error {
 	_, err := t.load(c, rows, func(pub func(int, storage.Timestamp) error) (storage.Timestamp, error) {
 		return ts, c.PublishAllAt(ts, pub)
@@ -173,8 +180,14 @@ func (t *Table) load(c *Cluster, rows []storage.Payload,
 	locals := make([]table.RowID, len(rows))
 	next := make([]int, c.Shards())
 	ts, err := publishAll(func(shard int, ts storage.Timestamp) error {
-		for _, p := range perShard[shard] {
-			if _, e := t.locals[shard].Append(ts, p); e != nil {
+		for i, p := range perShard[shard] {
+			var e error
+			if p == nil {
+				_, e = t.locals[shard].AppendOwned(ts, perShard[shard][i:i+1])
+			} else {
+				_, e = t.locals[shard].Append(ts, p)
+			}
+			if e != nil {
 				return e
 			}
 		}

@@ -15,6 +15,28 @@ func (p Payload) Clone() Payload {
 	return c
 }
 
+// Slab is the backing array of a batch of equal-width payloads: a bulk
+// decoder carves its rows from one Slab instead of allocating each. The
+// rows share the slab's lifetime.
+type Slab struct {
+	words []uint64
+	width int
+}
+
+// NewSlab allocates room for n payloads of width slots. Decoders size it
+// only after checking n against the bytes actually present.
+func NewSlab(n, width int) Slab {
+	return Slab{words: make([]uint64, n*width), width: width}
+}
+
+// Row is the slab's i-th payload. Its capacity equals its length
+// (three-index slice), so an append to one row reallocates instead of
+// overwriting its neighbour.
+func (s Slab) Row(i int) Payload {
+	lo, hi := i*s.width, (i+1)*s.width
+	return Payload(s.words[lo:hi:hi])
+}
+
 // Float64 returns slot i interpreted as a float64.
 func (p Payload) Float64(i int) float64 {
 	return math.Float64frombits(p[i])

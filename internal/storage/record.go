@@ -37,9 +37,53 @@ type Record struct {
 
 // NewRecord builds a version valid from begin until superseded.
 func NewRecord(begin Timestamp, payload Payload) *Record {
-	r := &Record{Payload: payload}
+	r := &Record{}
+	r.init(begin, payload)
+	return r
+}
+
+func (r *Record) init(begin Timestamp, payload Payload) {
+	r.Payload = payload
 	r.begin.Store(uint64(begin))
 	r.end.Store(uint64(InfTS))
+}
+
+// NewRecords builds one version per payload, each valid from begin until
+// superseded, carved from one slab: a bulk install pays one allocation for
+// all of its versions. The versions share the slab's lifetime — it is
+// freed only when none of them is reachable — so use it where the
+// versions are expected to live about as long as each other.
+func NewRecords(begin Timestamp, payloads []Payload) []Record {
+	recs := make([]Record, len(payloads))
+	for i := range recs {
+		recs[i].init(begin, payloads[i])
+	}
+	return recs
+}
+
+// arenaChunk is the number of versions in one RecordArena chunk: 1 024
+// versions of 64 bytes make a 64 KiB chunk, a large-object allocation
+// with no per-object header.
+const arenaChunk = 1024
+
+// RecordArena hands out versions carved from fixed-size chunks, so a
+// burst of installs (recovery replaying commit records) pays one
+// allocation per chunk instead of one per version. Each chunk stays
+// reachable while any of its versions does, so an arena never retains
+// more than it handed out plus one partly used chunk. Not safe for
+// concurrent use; the zero value is ready.
+type RecordArena struct {
+	free []Record
+}
+
+// New returns a version valid from begin until superseded.
+func (a *RecordArena) New(begin Timestamp, payload Payload) *Record {
+	if len(a.free) == 0 {
+		a.free = make([]Record, arenaChunk)
+	}
+	r := &a.free[0]
+	a.free = a.free[1:]
+	r.init(begin, payload)
 	return r
 }
 
@@ -104,6 +148,16 @@ func NewVersionChain(initial *Record) *VersionChain {
 		c.head.Store(initial)
 	}
 	return c
+}
+
+// NewVersionChains seeds one chain per version, chain i headed by
+// &heads[i], all from one slab — the bulk-install companion of NewRecords.
+func NewVersionChains(heads []Record) []VersionChain {
+	chains := make([]VersionChain, len(heads))
+	for i := range chains {
+		chains[i].head.Store(&heads[i])
+	}
+	return chains
 }
 
 // Head returns the most recent version, committed or not, or nil for an

@@ -3,6 +3,7 @@ package storage
 import (
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestRecordVisibility(t *testing.T) {
@@ -136,5 +137,46 @@ func TestIterativeVersionInvisibleUntilPublished(t *testing.T) {
 	}
 	if base.End() != 60 {
 		t.Fatalf("predecessor End = %d after Publish, want 60", base.End())
+	}
+}
+
+// TestRecordArenaChunks pins the arena's chunk at 64 KiB — a large-object
+// size class with no per-object header — and its cost at one allocation
+// per chunk: versions come out distinct, open-ended and carrying their
+// payload.
+func TestRecordArenaChunks(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}) * arenaChunk; got != 64<<10 {
+		t.Fatalf("arena chunk is %d bytes, want 64 KiB", got)
+	}
+	var a RecordArena
+	p := Payload{7}
+	first, second := a.New(3, p), a.New(4, p)
+	if first == second || first.Begin() != 3 || second.Begin() != 4 ||
+		first.End() != InfTS || &first.Payload[0] != &p[0] {
+		t.Fatalf("arena versions: %+v %+v", first, second)
+	}
+	a = RecordArena{}
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 2*arenaChunk; i++ {
+			a.New(1, p)
+		}
+	})
+	if allocs != 2 {
+		t.Fatalf("%v allocations for two chunks of versions, want 2", allocs)
+	}
+}
+
+// TestSlabRowsCappedAtWidth: appending to one slab row must not overwrite
+// the next.
+func TestSlabRowsCappedAtWidth(t *testing.T) {
+	s := NewSlab(2, 2)
+	r0, r1 := s.Row(0), s.Row(1)
+	r1[0] = 5
+	if cap(r0) != 2 || len(r0) != 2 {
+		t.Fatalf("row 0 len %d cap %d, want 2/2", len(r0), cap(r0))
+	}
+	_ = append(r0, 9)
+	if r1[0] != 5 {
+		t.Fatalf("append to row 0 overwrote row 1: %v", r1)
 	}
 }

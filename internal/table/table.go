@@ -2,6 +2,7 @@ package table
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -113,6 +114,70 @@ func (t *Table) Append(ts storage.Timestamp, payload storage.Payload) (RowID, er
 	return id, nil
 }
 
+// AppendOwned is the bulk Append of recovery: it appends rows as new row
+// slots whose first versions are valid from ts and returns the first
+// slot's RowID. It takes ownership of the payloads (no clone), allocates
+// the versions from one slab and the chains from another, and takes the
+// row lock and bumps the mutation counter once for the whole batch;
+// indexes are maintained as by Append. A nil row is an absent slot: it
+// gets a tombstone version (Deleted, zero payload) and no index entry, so
+// the rows after it keep their ids. The slabs live while any of their
+// versions does, so reserve AppendOwned for rows that are not expected to
+// be superseded and reclaimed one by one; loads whose first versions must
+// stay individually freeable go through Append.
+func (t *Table) AppendOwned(ts storage.Timestamp, rows []storage.Payload) (RowID, error) {
+	if t.view {
+		return 0, fmt.Errorf("table %s: Append on a view table; load rows through the owning shard", t.name)
+	}
+	absent := false
+	for _, p := range rows {
+		if p == nil {
+			absent = true
+		} else if len(p) != t.schema.Width() {
+			return 0, fmt.Errorf("table %s: payload width %d, schema width %d", t.name, len(p), t.schema.Width())
+		}
+	}
+	recs := storage.NewRecords(ts, rows)
+	if absent {
+		zero := t.schema.NewPayload()
+		for i := range recs {
+			if rows[i] == nil {
+				recs[i].Payload, recs[i].Deleted = zero, true
+			}
+		}
+	}
+	chains := storage.NewVersionChains(recs)
+	t.mu.Lock()
+	first := RowID(len(t.rows))
+	t.rows = slices.Grow(t.rows, len(chains))
+	for i := range chains {
+		t.rows = append(t.rows, &chains[i])
+	}
+	t.mu.Unlock()
+	t.muts.Add(1)
+
+	t.idxMu.RLock()
+	for col, idx := range t.hashIdx {
+		t.indexRows(idx.Insert, col, first, rows)
+	}
+	for col, idx := range t.treeIdx {
+		t.indexRows(idx.Insert, col, first, rows)
+	}
+	t.idxMu.RUnlock()
+	return first, nil
+}
+
+// indexRows inserts column col of every present row of a batch appended at
+// first.
+func (t *Table) indexRows(insert func(key int64, row uint64), col string, first RowID, rows []storage.Payload) {
+	ci := t.schema.MustCol(col)
+	for i, p := range rows {
+		if p != nil {
+			insert(p.Int64(ci), uint64(first)+uint64(i))
+		}
+	}
+}
+
 // AdoptChain appends an EXISTING version chain — one owned by another
 // table — as this table's next row and marks the table as a view. The
 // chain is shared, not copied: versions published by the owning table
@@ -131,7 +196,7 @@ func (t *Table) AdoptChain(c *storage.VersionChain) (RowID, error) {
 	t.mu.Unlock()
 	t.muts.Add(1)
 
-	if head := c.Head(); head != nil {
+	if head := c.Head(); head != nil && !head.Deleted {
 		t.idxMu.RLock()
 		for col, idx := range t.hashIdx {
 			idx.Insert(head.Payload.Int64(t.schema.MustCol(col)), uint64(id))
@@ -289,7 +354,7 @@ func (t *Table) CreateTreeIndex(col string) error {
 
 func (t *Table) fillIndex(ci int, add func(key int64, row uint64)) {
 	for i, c := range t.Slots() {
-		if head := c.Head(); head != nil {
+		if head := c.Head(); head != nil && !head.Deleted {
 			add(head.Payload.Int64(ci), uint64(i))
 		}
 	}

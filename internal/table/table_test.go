@@ -304,3 +304,38 @@ func TestSlotsIsAStablePrefix(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendOwnedTombstonesAbsentSlots bulk-appends rows with an absent
+// slot between them: the slot reads as missing, keeps the later row at its
+// id, and gets no index entry — neither from the append nor from an index
+// built afterwards (its tombstone's zero payload would index key 0).
+func TestAppendOwnedTombstonesAbsentSlots(t *testing.T) {
+	tbl := newNodeTable(t, 1)
+	if err := tbl.CreateHashIndex("NodeID"); err != nil {
+		t.Fatal(err)
+	}
+	rows := []storage.Payload{{0, 0}, nil, {2, 0}}
+	first, err := tbl.AppendOwned(2, rows)
+	if err != nil || first != 1 || tbl.NumRows() != 4 {
+		t.Fatalf("AppendOwned = %d, %v; %d rows", first, err, tbl.NumRows())
+	}
+	if _, ok := tbl.Read(2, 2); ok {
+		t.Fatal("absent slot reads as a row")
+	}
+	if p, ok := tbl.Read(3, 2); !ok || p.Int64(0) != 2 {
+		t.Fatalf("row 3 = %v, %v", p, ok)
+	}
+	if err := tbl.CreateTreeIndex("NodeID"); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := tbl.Lookup("NodeID", 0)
+	if len(got) != 2 {
+		t.Fatalf("hash key 0 indexes rows %v, want [0 1]", got)
+	}
+	if row, _ := tbl.TreeIndex("NodeID").Get(0); row != 1 {
+		t.Fatalf("tree key 0 indexes row %d, want 1", row)
+	}
+	if _, err := tbl.AppendOwned(3, []storage.Payload{{1}}); err == nil {
+		t.Fatal("short row accepted")
+	}
+}

@@ -3,6 +3,7 @@ package wal
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"db4ml/internal/storage"
@@ -13,7 +14,10 @@ import (
 // of a single WAL segment file. The scanner must never panic, never return a
 // record with inconsistent shape (ragged rows), and must be prefix-monotone:
 // whatever it decodes from a mutated file is a valid record sequence with
-// dense LSNs starting at the segment's first LSN.
+// dense LSNs starting at the segment's first LSN. Every decoded row must be
+// capped at its own length — rows share one slab per record, so spare
+// capacity would let an append to one row overwrite the next — and the
+// records must re-encode and decode back equal, field by field.
 func FuzzWALReplay(f *testing.F) {
 	// Seed with a real segment containing all three record kinds.
 	seedDir := f.TempDir()
@@ -72,11 +76,17 @@ func FuzzWALReplay(f *testing.F) {
 				if len(r.Rows) > 0 && len(row) != len(r.Rows[0]) {
 					t.Fatal("ragged load rows survived decode")
 				}
+				if cap(row) != len(row) {
+					t.Fatalf("load row has cap %d, len %d", cap(row), len(row))
+				}
 			}
 			for _, tu := range r.Tables {
 				for _, ru := range tu.Rows {
 					if len(tu.Rows) > 0 && len(ru.Payload) != len(tu.Rows[0].Payload) {
 						t.Fatal("ragged commit rows survived decode")
+					}
+					if cap(ru.Payload) != len(ru.Payload) {
+						t.Fatalf("commit row has cap %d, len %d", cap(ru.Payload), len(ru.Payload))
 					}
 				}
 			}
@@ -99,6 +109,11 @@ func FuzzWALReplay(f *testing.F) {
 			again, err := Records(dir2)
 			if err != nil || len(again) != len(recs) {
 				t.Fatalf("re-encoded replay: %d records, %v", len(again), err)
+			}
+			for i := range recs {
+				if !reflect.DeepEqual(again[i], recs[i]) {
+					t.Fatalf("record %d drifted through re-encoding:\n got %+v\nwant %+v", i, again[i], recs[i])
+				}
 			}
 		}
 	})

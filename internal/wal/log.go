@@ -62,6 +62,10 @@ type Log struct {
 	frozen atomic.Bool  // simulated crash: nothing more reaches disk
 	broken atomic.Value // sticky I/O error (error)
 
+	// recovered holds the records Open's scan decoded until Recovered
+	// hands them over.
+	recovered []*Record
+
 	// Appender-owned state.
 	f        *os.File
 	segBytes int64
@@ -70,8 +74,9 @@ type Log struct {
 
 // Open opens (or creates) the log in o.Dir for appending: it scans existing
 // segments to find the next LSN, truncates a torn tail so the last segment
-// is append-clean, and starts the group-commit appender. Call Close to
-// flush and stop it.
+// is append-clean, and starts the group-commit appender. The scan decodes
+// every valid record; Recovered hands them to the caller, so recovery
+// decodes the log once. Call Close to flush and stop the appender.
 func Open(o Options) (*Log, error) {
 	if o.Dir == "" {
 		return nil, fmt.Errorf("wal: empty directory")
@@ -91,9 +96,10 @@ func Open(o Options) (*Log, error) {
 		return nil, err
 	}
 	l := &Log{
-		opts:   o,
-		ch:     make(chan *appendReq, 256),
-		doneCh: make(chan struct{}),
+		opts:      o,
+		ch:        make(chan *appendReq, 256),
+		doneCh:    make(chan struct{}),
+		recovered: scan.recs,
 	}
 	l.nextLSN.Store(scan.nextLSN)
 
@@ -201,6 +207,17 @@ func (l *Log) err() error {
 		return e
 	}
 	return nil
+}
+
+// Recovered returns the records Open found in the log — exactly what
+// Records would have read from the directory before Open truncated its
+// torn tail — and drops the log's reference to them, so they live only as
+// long as the caller keeps them. Every call after the first returns nil.
+// Not safe for concurrent use; recovery calls it once, before appending.
+func (l *Log) Recovered() []*Record {
+	recs := l.recovered
+	l.recovered = nil
+	return recs
 }
 
 // NextLSN returns the LSN the next appended record will receive. The fuzzy

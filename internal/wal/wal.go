@@ -254,16 +254,16 @@ func (d *decBuf) str() (string, error) {
 	return s, nil
 }
 
-func (d *decBuf) payload(width int) (storage.Payload, error) {
-	if d.remaining() < width*8 {
-		return nil, ErrCorrupt
+// words fills p from the next len(p) little-endian words.
+func (d *decBuf) words(p storage.Payload) error {
+	if d.remaining() < len(p)*8 {
+		return ErrCorrupt
 	}
-	p := make(storage.Payload, width)
 	for i := range p {
 		p[i] = binary.LittleEndian.Uint64(d.b[d.off:])
 		d.off += 8
 	}
-	return p, nil
+	return nil
 }
 
 // count validates an element count against both the hard cap and the bytes
@@ -277,6 +277,9 @@ func (d *decBuf) count(n uint64, minBytes int) (int, error) {
 
 // decodePayload parses one record body. It never panics on hostile input:
 // every length is validated against the remaining bytes before allocation.
+// The rows of a load, and of each table of a commit, are carved from one
+// storage.Slab, so a record costs a handful of allocations whatever its
+// row count.
 func decodePayload(b []byte) (*Record, error) {
 	d := decBuf{b: b}
 	kind, err := d.u8()
@@ -342,8 +345,10 @@ func decodePayload(b []byte) (*Record, error) {
 			return nil, err
 		}
 		r.Rows = make([]storage.Payload, n)
+		slab := storage.NewSlab(n, width)
 		for i := range r.Rows {
-			if r.Rows[i], err = d.payload(width); err != nil {
+			r.Rows[i] = slab.Row(i)
+			if err := d.words(r.Rows[i]); err != nil {
 				return nil, err
 			}
 		}
@@ -379,11 +384,13 @@ func decodePayload(b []byte) (*Record, error) {
 				return nil, err
 			}
 			tu.Rows = make([]RowUpdate, rows)
+			slab := storage.NewSlab(rows, width)
 			for j := range tu.Rows {
 				if tu.Rows[j].Row, err = d.u64(); err != nil {
 					return nil, err
 				}
-				if tu.Rows[j].Payload, err = d.payload(width); err != nil {
+				tu.Rows[j].Payload = slab.Row(j)
+				if err := d.words(tu.Rows[j].Payload); err != nil {
 					return nil, err
 				}
 			}
