@@ -24,6 +24,7 @@ package db4ml
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -104,18 +105,11 @@ type (
 
 // RunRecorder receives one ML run's isolation-relevant history: every
 // mediated read, validation, install, and barrier flip (exec.Recorder), plus
-// the uber-transaction's final commit or abort. internal/check implements it
-// to validate the paper's isolation contracts post-hoc; nil disables
-// recording at zero cost. Implementations are called concurrently.
-type RunRecorder interface {
-	exec.Recorder
-	// RecordUberCommit: the uber-transaction committed; its result became
-	// visible to OLTP transactions at timestamp ts.
-	RecordUberCommit(ts Timestamp)
-	// RecordUberAbort: the uber-transaction aborted; none of its updates
-	// ever became visible.
-	RecordUberAbort()
-}
+// the uber-transaction's final commit (RecordUberCommit, with the timestamp
+// its result became visible at) or abort (RecordUberAbort). internal/check
+// implements it to validate the paper's isolation contracts post-hoc; nil
+// disables recording at zero cost. Implementations are called concurrently.
+type RunRecorder = exec.RunRecorder
 
 // NewObserver creates a telemetry observer to pass in MLRun.Observer. One
 // observer serves one run at a time; rerunning resets it.
@@ -232,7 +226,6 @@ type openConfig struct {
 	shardScheme partition.Scheme
 	walDir      string
 	walPolicy   wal.SyncPolicy
-	ckptEvery   time.Duration
 	crash       *chaos.Killer
 }
 
@@ -389,9 +382,6 @@ func Open(opts ...Option) *DB {
 			panic("db4ml: recovery: " + err.Error())
 		}
 		db.dur = dur
-		if oc.ckptEvery > 0 {
-			pool.Maintain(oc.ckptEvery, func() { _ = db.Checkpoint() })
-		}
 	}
 	return db
 }
@@ -611,31 +601,35 @@ type MLRun struct {
 	// keeps recording fully disabled at zero cost. Single-kernel runs
 	// only: a sharded database's SubmitML rejects a run with a Recorder,
 	// since each shard numbers its sub-transactions from zero (internal/check
-	// records sharded runs through the coordinator, one recorder per shard).
+	// records sharded runs through exec.StartUber, one recorder per shard).
 	Recorder RunRecorder
 }
 
-// JobHandle tracks one in-flight ML run submitted with SubmitML. Under a
-// retry policy one handle spans every attempt: the job pointer is swapped
-// on resubmission and Wait resolves only when the final attempt committed
-// or failed terminally.
+// JobHandle tracks one in-flight ML run submitted with SubmitML, on one
+// kernel or across a sharded database's kernels. Under a retry policy one
+// handle spans every attempt: the run is swapped on resubmission and Wait
+// resolves only when the final attempt committed or failed terminally.
 type JobHandle struct {
 	handleCore
-	job     atomic.Pointer[exec.Job]
-	started time.Time
-	stats   ExecStats
+	run       atomic.Pointer[exec.UberRun]
+	observers []*Observer
+	started   time.Time
+	stats     ExecStats
 }
 
-// CommitTS returns the uber-transaction's commit timestamp: zero until the
-// job resolved, and zero forever if it aborted or was never acknowledged
-// (a crashed run may have published in the dying process's memory, but an
+// CommitTS returns the uber-transaction's commit timestamp — on a sharded
+// database the one timestamp every shard published at: zero until the job
+// resolved, and zero forever if it aborted or was never acknowledged (a
+// crashed run may have published in the dying process's memory, but an
 // unacknowledged commit has no timestamp the caller may rely on).
 func (h *JobHandle) CommitTS() Timestamp { return h.commitTS() }
 
 // Wait blocks until the job finished (including the uber-transaction's
 // commit or abort, and any retries) and returns its final stats. Stats are
 // meaningful even on error: a cancelled job reports the work done before
-// the cancellation took effect; a retried job reports its last attempt.
+// the cancellation took effect; a retried job reports its last attempt. On
+// a sharded database they combine every shard's (exec.SumStats); see
+// ShardStats for the breakdown.
 func (h *JobHandle) Wait() (ExecStats, error) {
 	<-h.done
 	return h.stats, h.err
@@ -648,8 +642,144 @@ func (h *JobHandle) Stats() ExecStats {
 	case <-h.done:
 		return h.stats
 	default:
-		return h.job.Load().Stats()
+		return exec.SumStats(h.run.Load().Stats())
 	}
+}
+
+// ShardStats returns every kernel's stats (index = shard id; one entry on
+// a single kernel; zero for a shard that ran no sub-transactions): live
+// while the job runs, the final attempt's once it finished.
+func (h *JobHandle) ShardStats() []ExecStats { return h.run.Load().Stats() }
+
+// ShardObservers returns the per-kernel observers (index = shard id), or
+// nil when the run has none. Shard 0's is MLRun.Observer when one was
+// given; the rest were auto-attached.
+func (h *JobHandle) ShardObservers() []*Observer { return h.observers }
+
+// ShardSnapshots exports every kernel's telemetry snapshot (nil without
+// observers).
+func (h *JobHandle) ShardSnapshots() []TelemetrySnapshot {
+	if h.observers == nil {
+		return nil
+	}
+	out := make([]TelemetrySnapshot, len(h.observers))
+	for i, o := range h.observers {
+		out[i] = o.Snapshot()
+	}
+	return out
+}
+
+// mlRun is one ML run as a facade lays it out on its kernels: the
+// uber-transaction with one part per kernel, each part's /metrics
+// aggregator, and the tables its commit logs.
+type mlRun struct {
+	spec   exec.UberSpec
+	aggs   []*introspect.Aggregator // index = part; nil aggregates nothing
+	tables []*table.Table
+	// sharded tags each /debug/jobs row with its part's shard id.
+	sharded bool
+}
+
+// submitML starts an admitted run and hands it to the retry loop, which
+// owns its slot from here on. It is the one ML sequence of both facades:
+// every attempt starts the uber-transaction, waits for it and commits or
+// aborts it (exec.UberRun.Finish), logs the commit through dur, and only
+// then acknowledges it. Cancelling the handle cancels the attempt's jobs.
+func (s *supervisor) submitML(ctx context.Context, set settings, dur *durability, m mlRun) (*JobHandle, error) {
+	start := func() (*exec.UberRun, error) {
+		r, err := exec.StartUber(m.spec)
+		if errors.Is(err, exec.ErrPoolClosed) {
+			err = ErrClosed
+		}
+		return r, err
+	}
+	r, err := start()
+	if err != nil {
+		s.release()
+		return nil, err
+	}
+	h := &JobHandle{started: time.Now()}
+	h.init(ctx)
+	h.run.Store(r)
+	o0 := m.spec.Parts[0].Job.Observer
+	if o0 != nil {
+		for i, p := range m.spec.Parts {
+			h.observers = append(h.observers, p.Job.Observer)
+			m.aggs[i].Attach(p.Job.Observer)
+		}
+	}
+	s.runs.track(&h.handleCore, func(state string) []introspect.JobInfo {
+		// One row per job, so the shards of one run read side by side; all
+		// rows share its correlation id.
+		r := h.run.Load()
+		var rows []introspect.JobInfo
+		for i, j := range r.Jobs() {
+			if j == nil {
+				continue
+			}
+			info := introspect.NewJobInfo(r.TraceID(), j.Label(), state,
+				h.Attempts(), j.Live(), j.Total(), j.Started(), set.deadline)
+			if m.sharded {
+				info.Shard = &i
+			}
+			rows = append(rows, info)
+		}
+		return rows
+	})
+	go s.supervise(&h.handleCore, attempt{
+		policy: set.policy,
+		token:  r.TraceID(),
+		obs:    o0,
+		tracer: m.spec.Tracer,
+		try: func() (bool, error) {
+			r := h.run.Load()
+			stop := context.AfterFunc(h.ctx, r.Cancel)
+			stats, ts, err := r.Finish()
+			stop()
+			h.stats = stats
+			if errors.Is(err, chaos.ErrCrashed) {
+				// A kill-point fired: the "process" is dead. Freeze the WAL
+				// and resolve terminally — recovery, not retry, follows.
+				dur.freeze()
+				return false, err
+			}
+			if err != nil {
+				return r.Retryable(), err
+			}
+			if err := dur.appendCommit(ts, m.tables, r.TraceID()); err != nil {
+				// The append or its fsync failed — the commit may not
+				// survive a restart, so it must not be acknowledged.
+				return false, err
+			}
+			h.ts = ts
+			// End-to-end latency: first submission to atomic publish,
+			// spanning every retry attempt in between.
+			if o0 != nil {
+				o0.RecordLatency(0, obs.JobCommitLatency, int64(time.Since(h.started)))
+			}
+			return false, nil
+		},
+		resubmit: func() (uint64, error) {
+			next, err := start()
+			if err != nil {
+				return 0, err
+			}
+			h.run.Store(next)
+			return next.TraceID(), nil
+		},
+		settle: func() {
+			s.runs.settle(&h.handleCore)
+			for i, o := range h.observers {
+				m.aggs[i].Complete(o)
+			}
+		},
+	})
+	return h, nil
+}
+
+// subsOf is a part's Build for sub-transactions made before the run began.
+func subsOf(subs []IterativeTransaction) func(storage.Timestamp) ([]itx.Sub, func(int) int, error) {
+	return func(storage.Timestamp) ([]itx.Sub, func(int) int, error) { return subs, nil, nil }
 }
 
 // SubmitML starts one ML algorithm as an uber-transaction on the
@@ -674,121 +804,18 @@ func (db *DB) SubmitML(ctx context.Context, run MLRun) (*JobHandle, error) {
 		// an observer so /metrics reflects them too.
 		cfg.Observer = obs.New()
 	}
-
-	spec := exec.UberSpec{
-		Isolation: run.Isolation,
-		Attach:    run.Attach,
-		Build: func(storage.Timestamp) ([]itx.Sub, func(int) int, error) {
-			return run.Subs, nil, nil
+	return db.submitML(ctx, set, db.dur, mlRun{
+		spec: exec.UberSpec{
+			Isolation: run.Isolation,
+			Parts: []exec.UberPart{{
+				Pool: db.pool, Mgr: db.mgr, Attach: run.Attach, Build: subsOf(run.Subs), Job: cfg,
+			}},
+			Crash:  db.dur.killer(),
+			Tracer: cfg.Tracer,
 		},
-		Job: cfg,
-	}
-	// start opens one attempt: it begins the uber-transaction, installs the
-	// iterative records, and submits the job. Each retry repeats it from
-	// scratch, since the failed attempt's abort tore everything down.
-	start := func() (*exec.UberRun, error) {
-		r, err := exec.StartUber(db.pool, db.mgr, spec)
-		if err == exec.ErrPoolClosed {
-			err = ErrClosed
-		}
-		return r, err
-	}
-	att, err := start()
-	if err != nil {
-		db.release()
-		return nil, err
-	}
-	db.agg.Attach(cfg.Observer)
-
-	h := &JobHandle{started: time.Now()}
-	h.init(ctx)
-	h.job.Store(att.Job)
-	db.runs.track(&h.handleCore, func(state string) []introspect.JobInfo {
-		j := h.job.Load()
-		return []introspect.JobInfo{introspect.NewJobInfo(j.ID(), j.Label(), state,
-			h.Attempts(), j.Live(), j.Total(), j.Started(), cfg.Deadline)}
+		aggs:   []*introspect.Aggregator{db.agg},
+		tables: distinctTables(run.Attach),
 	})
-	tables := distinctTables(run.Attach)
-	go db.supervise(&h.handleCore, attempt{
-		policy: set.policy,
-		token:  att.Job.ID(),
-		obs:    cfg.Observer,
-		tracer: cfg.Tracer,
-		try: func() (bool, error) {
-			job := h.job.Load()
-			// Inline, not a goroutine, so job completion releases the watch
-			// even when ctx is never cancelled.
-			select {
-			case <-h.ctx.Done():
-				job.Cancel()
-			case <-job.Done():
-			}
-			stats, err := job.Wait()
-			h.stats = stats
-			// A forced retirement (stall conviction, deadline force-finish)
-			// resolves Wait while a wedged worker may still be mid-Execute;
-			// wait for every in-flight worker to acknowledge the cancellation
-			// before touching the uber-transaction it is attached to.
-			// Instant after a natural finish.
-			quiesced := job.Quiesce(exec.QuiesceGrace)
-			if err != nil {
-				_ = att.Uber.Abort()
-				if run.Recorder != nil {
-					run.Recorder.RecordUberAbort()
-				}
-				return quiesced, err
-			}
-			if db.dur.killed(chaos.CrashBeforePrepare) {
-				// Simulated death before the uber-commit's prepare: nothing
-				// was published and nothing is acknowledged.
-				_ = att.Uber.Abort()
-				return false, chaos.ErrCrashed
-			}
-			ts, err := att.Uber.Commit()
-			if err != nil {
-				if run.Recorder != nil {
-					run.Recorder.RecordUberAbort()
-				}
-				return false, err
-			}
-			if db.dur.killed(chaos.CrashAfterPrepare) {
-				// Published in memory but never logged: the commit vanishes
-				// on recovery, and since it is never acknowledged here,
-				// committed-exactly-or-absent holds.
-				return false, chaos.ErrCrashed
-			}
-			if err := db.dur.appendCommit(ts, tables, job.ID()); err != nil {
-				// The append or its fsync failed — the commit may not
-				// survive a restart, so it must not be acknowledged.
-				return false, err
-			}
-			h.ts = ts
-			if run.Recorder != nil {
-				run.Recorder.RecordUberCommit(ts)
-			}
-			// End-to-end latency: first submission to atomic publish,
-			// spanning every retry attempt in between.
-			if cfg.Observer != nil {
-				cfg.Observer.RecordLatency(0, obs.JobCommitLatency, int64(time.Since(h.started)))
-			}
-			cfg.Tracer.Instant(0, trace.KindCommit, job.ID(), int64(ts))
-			return false, nil
-		},
-		resubmit: func() (uint64, error) {
-			next, err := start()
-			if err != nil {
-				return 0, err
-			}
-			att = next
-			h.job.Store(att.Job)
-			return att.Job.ID(), nil
-		},
-		settle: func() {
-			db.runs.settle(&h.handleCore)
-			db.agg.Complete(cfg.Observer)
-		},
-	})
-	return h, nil
 }
 
 // RunML executes one ML algorithm as an uber-transaction and blocks until

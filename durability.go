@@ -1,10 +1,10 @@
 package db4ml
 
 // This file is the durability facade: WithWAL arms a write-ahead log of
-// uber-commit redo records (internal/wal), WithCheckpointEvery adds fuzzy
-// incremental checkpoints (internal/checkpoint) taken on a pool maintenance
-// goroutine, and Open/OpenSharded recover state from the newest valid
-// checkpoint plus the WAL tail before serving traffic.
+// uber-commit redo records (internal/wal), Checkpoint takes fuzzy
+// incremental checkpoints (internal/checkpoint), and Open/OpenSharded
+// recover state from the newest valid checkpoint plus the WAL tail before
+// serving traffic.
 //
 // Durability ordering is publish-then-log: a commit becomes visible in
 // memory first, its redo record is appended (and fsynced per the sync
@@ -76,6 +76,7 @@ const (
 	CrashBeforePrepare       = chaos.CrashBeforePrepare
 	CrashAfterPrepare        = chaos.CrashAfterPrepare
 	CrashBetweenShardCommits = chaos.CrashBetweenShardCommits
+	CrashAfterPublish        = chaos.CrashAfterPublish
 	CrashMidWALAppend        = chaos.CrashMidWALAppend
 	CrashAfterWALAppend      = chaos.CrashAfterWALAppend
 	CrashMidCheckpoint       = chaos.CrashMidCheckpoint
@@ -100,15 +101,6 @@ func WithWAL(dir string) Option { return func(c *openConfig) { c.walDir = dir } 
 
 // WithWALSync selects the WAL fsync policy (default WALSyncAlways).
 func WithWALSync(p WALSyncPolicy) Option { return func(c *openConfig) { c.walPolicy = p } }
-
-// WithCheckpointEvery runs a fuzzy incremental checkpoint every interval on
-// a pool maintenance goroutine: workers are never stalled (the snapshot is
-// pinned, not locked), unchanged tables reuse their previously encoded
-// sections, and the WAL is truncated below the checkpoint's LSN after the
-// checkpoint file is durably in place. Requires WithWAL.
-func WithCheckpointEvery(d time.Duration) Option {
-	return func(c *openConfig) { c.ckptEvery = d }
-}
 
 // WithCrashPoints arms a simulated crash at one durability kill-point; the
 // crash surfaces as ErrCrashed and freezes the WAL. Test/experiment only —
@@ -148,8 +140,17 @@ func (d *durability) killed(p chaos.CrashPoint) bool {
 	return true
 }
 
-// freeze halts the WAL after an externally detected crash (the shard
-// coordinator's kill-points fire inside internal/shard). nil-safe.
+// killer is the armed crash killer the uber-commit's kill-points fire
+// through (exec.UberSpec.Crash). nil-safe.
+func (d *durability) killer() *chaos.Killer {
+	if d == nil {
+		return nil
+	}
+	return d.crash
+}
+
+// freeze halts the WAL after a kill-point fired outside it (the
+// uber-commit's, inside exec.UberRun.Finish). nil-safe.
 func (d *durability) freeze() {
 	if d != nil {
 		d.log.Freeze()

@@ -7,6 +7,7 @@ package db4ml
 // the public API surface.
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -579,7 +580,7 @@ func TestCrashPointUnackedAbsent(t *testing.T) {
 	const n = 4
 	dir := t.TempDir()
 
-	db, tbl := openDurable(t, dir, true, n, WithCrashPoints(NewCrashKiller(CrashAfterPrepare)))
+	db, tbl := openDurable(t, dir, true, n, WithCrashPoints(NewCrashKiller(CrashAfterPublish)))
 	subs := make([]IterativeTransaction, n)
 	for i := range subs {
 		subs[i] = &incSub{tbl: tbl, row: RowID(i), target: 3}
@@ -603,6 +604,41 @@ func TestCrashPointUnackedAbsent(t *testing.T) {
 	db2, tbl2 := openDurable(t, dir, false, n)
 	defer db2.Close()
 	wantValues(t, dump(t, db2.Begin(), tbl2, n), 0)
+}
+
+// TestCrashAfterPrepareNothingPublished: on one kernel, as on many, the
+// after-prepare kill-point fires with the commit lock held and nothing
+// published — the crashed run is not acknowledged, the dying process's
+// memory still reads the pre-run values, and no snapshot stays pinned.
+func TestCrashAfterPrepareNothingPublished(t *testing.T) {
+	const n = 4
+	db, tbl := openDurable(t, t.TempDir(), true, n, WithCrashPoints(NewCrashKiller(CrashAfterPrepare)))
+	defer db.Close()
+	subs := make([]IterativeTransaction, n)
+	for i := range subs {
+		subs[i] = &incSub{tbl: tbl, row: RowID(i), target: 3}
+	}
+	h, err := db.SubmitML(context.Background(), MLRun{
+		Isolation: MLOptions{Level: Asynchronous},
+		BatchSize: 4,
+		Attach:    []Attachment{{Table: tbl}},
+		Subs:      subs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Wait(); err != ErrCrashed {
+		t.Fatalf("crashed run returned %v, want ErrCrashed", err)
+	}
+	if h.CommitTS() != 0 {
+		t.Fatalf("crashed run acknowledged at %d", h.CommitTS())
+	}
+	if pins := db.Manager().ActiveSnapshots(); pins != 0 {
+		t.Fatalf("%d snapshots pinned after the crash", pins)
+	}
+	tx := db.Begin()
+	defer tx.Abort()
+	wantValues(t, dump(t, tx, tbl, n), 0)
 }
 
 // TestWALSyncPolicies exercises the two non-default fsync policies through

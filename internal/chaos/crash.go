@@ -20,17 +20,21 @@ type CrashPoint uint8
 const (
 	// CrashNone: no kill-point armed; the trial runs and shuts down cleanly.
 	CrashNone CrashPoint = iota
-	// CrashBeforePrepare: die before the commit protocol starts — no shard
+	// CrashBeforePrepare: die before the commit protocol starts — no kernel
 	// prepared, nothing published, nothing logged.
 	CrashBeforePrepare
-	// CrashAfterPrepare: die with every shard prepared (commit locks held)
+	// CrashAfterPrepare: die with every kernel prepared (commit locks held)
 	// but no commit published. Recovery must observe the pre-commit state.
 	CrashAfterPrepare
-	// CrashBetweenShardCommits: die inside the 2PC window — some shards have
-	// published the coordinated timestamp, others are still only prepared.
-	// The WAL commit record was never written, so recovery must roll the
-	// whole uber-commit back to absent.
+	// CrashBetweenShardCommits: die inside the 2PC window — some kernels
+	// have published the coordinated timestamp, others are still only
+	// prepared. The WAL commit record was never written, so recovery must
+	// roll the whole uber-commit back to absent. Never fires on one kernel.
 	CrashBetweenShardCommits
+	// CrashAfterPublish: die with every kernel published in memory but
+	// nothing logged — before the WAL append. Recovery must observe the
+	// pre-commit state, and the commit is never acknowledged.
+	CrashAfterPublish
 	// CrashMidWALAppend: die halfway through writing the WAL frame — a torn
 	// tail the recovery reader must truncate, leaving the commit absent.
 	CrashMidWALAppend
@@ -57,6 +61,8 @@ func (p CrashPoint) String() string {
 		return "after-prepare"
 	case CrashBetweenShardCommits:
 		return "between-shard-commits"
+	case CrashAfterPublish:
+		return "after-publish"
 	case CrashMidWALAppend:
 		return "mid-wal-append"
 	case CrashAfterWALAppend:
@@ -98,15 +104,4 @@ func (k *Killer) At(p CrashPoint) bool {
 		return false
 	}
 	return k.fired.CompareAndSwap(false, true)
-}
-
-// Fired reports whether the killer has gone off.
-func (k *Killer) Fired() bool { return k != nil && k.fired.Load() }
-
-// Point returns the armed kill-point.
-func (k *Killer) Point() CrashPoint {
-	if k == nil {
-		return CrashNone
-	}
-	return k.point
 }

@@ -31,8 +31,9 @@ import (
 // Run picks the trial from its input:
 //   - Crash == nil, Shards <= 1: one db4ml.Open database, facade
 //     supervision included;
-//   - Crash == nil, Shards > 1: the internal/shard coordinator directly,
-//     every shard with its own injector and recorder;
+//   - Crash == nil, Shards > 1: one exec.StartUber with a part per shard
+//     of an internal/shard cluster, no facade, every shard with its own
+//     injector and recorder;
 //   - Crash != nil: a durable facade (Open, or a round-robin OpenSharded
 //     when Shards > 1) killed at Crash.Kill and recovered.
 type Trial struct {
@@ -58,8 +59,8 @@ type Trial struct {
 	Chaos chaos.Config
 	// GC, when nonzero, runs the facade's background version reclaimer at
 	// that interval (db4ml.WithVersionGC), proving reclamation never
-	// changes what a reader observes. The coordinator has no reclaimer, so
-	// a coordinator trial with GC is an error.
+	// changes what a reader observes. A coordinator trial runs no facade
+	// and so no reclaimer: GC there is an error.
 	GC time.Duration
 	// Crash, when non-nil, makes this a crash trial.
 	Crash *Crash
@@ -128,7 +129,7 @@ func Run(t Trial) (Result, error) {
 	case t.Subs < 2 || t.Subs < t.Shards || t.Target == 0 || t.Workers < 1:
 		return Result{}, fmt.Errorf("check: degenerate trial %+v", t)
 	case t.Crash == nil && t.Shards > 1 && t.GC > 0:
-		return Result{}, errors.New("check: the shard coordinator has no version reclaimer to run GC")
+		return Result{}, errors.New("check: a coordinator trial has no version reclaimer to run GC")
 	case t.Crash != nil && t.Crash.Dir == "":
 		return Result{}, errors.New("check: a crash trial needs Crash.Dir")
 	}
@@ -329,6 +330,7 @@ func probing(n int, probe func(p int)) (stop func()) {
 
 // facade is what a trial drives of *db4ml.DB and *db4ml.ShardedDB.
 type facade interface {
+	SubmitML(ctx context.Context, run db4ml.MLRun) (*db4ml.JobHandle, error)
 	CreateTable(name string, cols ...db4ml.Column) (*db4ml.Table, error)
 	Table(name string) *db4ml.Table
 	BulkLoad(tbl *db4ml.Table, rows []db4ml.Payload) error
@@ -416,20 +418,10 @@ func (r *ring) run(f facade, tbl *db4ml.Table, rec db4ml.RunRecorder) error {
 	}
 	stop := probing(1, func(int) { r.probe(f, tbl) })
 	var ts db4ml.Timestamp
-	var err error
-	switch db := f.(type) {
-	case *db4ml.DB:
-		var h *db4ml.JobHandle
-		if h, err = db.SubmitML(context.Background(), run); err == nil {
-			_, err = h.Wait()
-			ts = h.CommitTS()
-		}
-	case *db4ml.ShardedDB:
-		var h *db4ml.ShardedJobHandle
-		if h, err = db.SubmitML(context.Background(), run); err == nil {
-			_, err = h.Wait()
-			ts = h.CommitTS()
-		}
+	h, err := f.SubmitML(context.Background(), run)
+	if err == nil {
+		_, err = h.Wait()
+		ts = h.CommitTS()
 	}
 	stop()
 	r.res.Faults = r.inj.Faults()
@@ -457,11 +449,12 @@ func (r *ring) single() (Result, error) {
 	return r.verdict(Check(r.hist.Events(), r.label, r.Level, &rule)), nil
 }
 
-// distributed runs the ring as one distributed uber-transaction through
-// internal/shard, with no facade: each sub on the shard owning its row,
-// reading its neighbor through the chain-sharing view (under round-robin
-// placement a cross-shard read, every time). It checks the per-shard
-// contracts, 2PC atomicity, cross-shard staleness and the oracle.
+// distributed runs the ring as one uber-transaction with a part per shard
+// of an internal/shard cluster, with no facade: each sub on the shard
+// owning its row, reading its neighbor through the chain-sharing view
+// (under round-robin placement a cross-shard read, every time). It checks
+// the per-shard contracts, 2PC atomicity, cross-shard staleness and the
+// oracle.
 func (r *ring) distributed() (Result, error) {
 	cluster, err := shard.NewCluster(r.Shards, exec.Config{Workers: r.Workers})
 	if err != nil {
@@ -476,27 +469,35 @@ func (r *ring) distributed() (Result, error) {
 
 	// Group subs by owning shard; subMaps translate each shard's local sub
 	// indices back to ring positions in the merged log.
-	plans := make([]shard.Plan, r.Shards)
+	subs := make([][]itx.Sub, r.Shards)
 	subMaps := make([][]int, r.Shards)
 	for i := 0; i < r.Subs; i++ {
 		s := st.ShardOf(table.RowID(i))
 		if s < 0 {
 			return r.res, fmt.Errorf("check: ring row %d has no owner", i)
 		}
-		plans[s].Subs = append(plans[s].Subs, r.sub(st.View(), i))
+		subs[s] = append(subs[s], r.sub(st.View(), i))
 		subMaps[s] = append(subMaps[s], i)
 	}
 	cancelShard := int((r.Seed%int64(r.Shards) + int64(r.Shards)) % int64(r.Shards))
 	injs := make([]*chaos.Seeded, r.Shards)
-	for s := range plans {
+	parts := make([]exec.UberPart, r.Shards)
+	for s := range parts {
 		cfg := r.Chaos
 		if s != cancelShard {
 			cfg.CancelAfter = 0
 		}
 		injs[s] = chaos.NewSeeded(r.Seed+int64(s), r.Workers, cfg)
 		label := ShardLabel(r.label, s)
-		plans[s].Attach = []shard.Attachment{{Table: st.Local(s)}}
-		plans[s].Config = exec.JobConfig{BatchSize: 2, Label: label, Chaos: injs[s], Recorder: r.hist.ShardJob(label, s, subMaps[s])}
+		k, subs := cluster.Kernel(s), subs[s]
+		parts[s] = exec.UberPart{
+			Pool: k.Pool(), Mgr: k.Mgr(),
+			Attach: []itx.Attachment{{Table: st.Local(s)}},
+			Build: func(storage.Timestamp) ([]itx.Sub, func(int) int, error) {
+				return subs, nil, nil
+			},
+			Job: exec.JobConfig{BatchSize: 2, Label: label, Chaos: injs[s], Recorder: r.hist.ShardJob(label, s, subMaps[s])},
+		}
 	}
 
 	// One prober per shard reads the rows its shard owns at that shard's
@@ -514,23 +515,21 @@ func (r *ring) distributed() (Result, error) {
 			}
 		}
 	})
-	co := shard.NewCoordinator(cluster)
-	h, err := co.Submit(shard.UberRun{
+	run, err := exec.StartUber(exec.UberSpec{
 		Isolation:     r.Level,
-		Plans:         plans,
+		Parts:         parts,
 		GlobalBarrier: r.Level.Level == isolation.Synchronous,
 	})
 	if err != nil {
 		stop()
 		return r.res, err
 	}
-	// Submit installed every attachment, so every ring row's iterative
+	// StartUber installed every attachment, so every ring row's iterative
 	// record exists; tag each with its owner for the cross-shard checker.
 	for g := 0; g < r.Subs; g++ {
 		r.hist.TagRecordOwner(st.View().IterRecord(table.RowID(g)), st.ShardOf(table.RowID(g)))
 	}
-	_, ts, err := h.Wait()
-	co.Close()
+	_, ts, err := run.Finish()
 	stop()
 	for _, inj := range injs {
 		r.res.Faults += inj.Faults()

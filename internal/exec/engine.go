@@ -184,6 +184,35 @@ func (c *counters) into(stats *Stats) {
 	}
 }
 
+// SumStats combines the stats of one uber-transaction's parts: counters
+// add, while Rounds, Elapsed and MaxWorkerBusy take the maximum (the parts
+// run side by side, and under a global barrier they count the same rounds)
+// and AvgWorkerBusy averages the parts whose workers did any work. One
+// part's stats come back unchanged.
+func SumStats(parts []Stats) Stats {
+	var out Stats
+	busy := 0
+	for _, s := range parts {
+		out.Executions += s.Executions
+		out.Commits += s.Commits
+		out.Rollbacks += s.Rollbacks
+		out.ForcedStops += s.ForcedStops
+		out.Steals += s.Steals
+		out.Panics += s.Panics
+		out.Rounds = max(out.Rounds, s.Rounds)
+		out.Elapsed = max(out.Elapsed, s.Elapsed)
+		out.MaxWorkerBusy = max(out.MaxWorkerBusy, s.MaxWorkerBusy)
+		if s.AvgWorkerBusy > 0 {
+			out.AvgWorkerBusy += s.AvgWorkerBusy
+			busy++
+		}
+	}
+	if busy > 0 {
+		out.AvgWorkerBusy /= time.Duration(busy)
+	}
+	return out
+}
+
 // sched is one scheduled sub-transaction with its reusable context.
 type sched struct {
 	sub       itx.Sub

@@ -70,9 +70,9 @@ type JobConfig struct {
 	// across every job submitted.
 	Tracer *trace.Tracer
 	// TraceID, when nonzero, overrides the pool-assigned job id on every
-	// trace event this job records. The shard coordinator sets one id on
-	// all per-shard fragments of a distributed uber-transaction, so spans
-	// recorded by different pools correlate in a merged cross-shard trace.
+	// trace event this job records. StartUber sets one id on every part of
+	// an uber-transaction, so spans recorded by different pools correlate
+	// in a merged cross-shard trace.
 	TraceID uint64
 	// Label names the job in telemetry snapshots; defaults to "job-<id>".
 	Label string
@@ -86,29 +86,24 @@ type JobConfig struct {
 	Recorder Recorder
 	// BarrierHook, when non-nil, runs at every synchronous-level barrier
 	// flip on the last-arriving worker, BEFORE the new phase is stored or
-	// any batch re-pushed. It may block: the shard coordinator uses it to
-	// extend the per-job barrier into a global rendezvous, so no shard of a
-	// distributed synchronous job enters nextPhase until every shard's
-	// barrier has flipped. It must be released externally (rendezvous
-	// Leave/Break) when a sibling job finishes early, or the pool's worker
-	// stays parked in it.
+	// any batch re-pushed. It may block: StartUber uses it to extend the
+	// per-job barrier into a rendezvous across an uber-transaction's parts
+	// (UberSpec.GlobalBarrier), released when a sibling job finishes.
 	BarrierHook func(round uint64, nextPhase int32)
 	// ConvergeVote, when non-nil with ConvergeTogether set, turns the
 	// collective-retirement decision over to an external arbiter: the pool
 	// reports whether every locally live sub-transaction voted Done this
 	// round, and retires them only if the hook returns true. Like
 	// BarrierHook it may block and is called once per round on the
-	// last-arriving worker — the shard coordinator points it at a voting
-	// rendezvous so a distributed synchronous job reaches its fixpoint
-	// globally, not shard-by-shard.
+	// last-arriving worker; StartUber points it at the parts' rendezvous
+	// so a job spanning kernels reaches its fixpoint globally.
 	ConvergeVote func(unanimous bool) bool
 	// Hold submits the job fully armed — contexts, watchdogs, telemetry —
 	// but publishes no batch to the run queues: no worker executes a
-	// sub-transaction until Job.Release. The shard coordinator holds every
-	// shard of a distributed run and releases them together, so no shard
-	// iterates (and prematurely converges) against a sibling shard whose
-	// rows are still seed-valued because its job was not yet submitted.
-	// Release promptly: the deadline and stall watchdogs run from Submit.
+	// sub-transaction until Job.Release. StartUber holds every part's job
+	// and releases them together, so no part iterates against a sibling
+	// whose job was not yet submitted. Release promptly: the deadline and
+	// stall watchdogs run from Submit.
 	Hold bool
 	// Deadline, when nonzero, bounds the job's wall-clock runtime: past it
 	// the job is retired and Wait reports resilience.ErrJobDeadline.
@@ -1312,9 +1307,6 @@ func (j *Job) Err() error {
 		return nil
 	}
 }
-
-// ID returns the pool-unique job id.
-func (j *Job) ID() uint64 { return j.id }
 
 // Label returns the telemetry label (JobConfig.Label or "job-<id>").
 func (j *Job) Label() string { return j.label }

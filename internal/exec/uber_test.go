@@ -108,9 +108,9 @@ func TestUberRunnerFailuresLeaveNoTrace(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			mgr := txn.NewManager()
 			tbl := loadCounters(t, mgr, "T", 4)
-			spec := UberSpec{Isolation: iso, Attach: []itx.Attachment{{Table: tbl}}, Build: countTo(tbl, forever), Job: c.job}
+			part := UberPart{Pool: c.pool, Mgr: mgr, Attach: []itx.Attachment{{Table: tbl}}, Build: countTo(tbl, forever), Job: c.job}
 			if c.build != nil {
-				spec.Build = c.build(tbl)
+				part.Build = c.build(tbl)
 			}
 			if c.held {
 				other := loadCounters(t, mgr, "Held", 2)
@@ -126,14 +126,14 @@ func TestUberRunnerFailuresLeaveNoTrace(t *testing.T) {
 						t.Error(err)
 					}
 				}()
-				spec.Attach = append(spec.Attach, itx.Attachment{Table: other})
+				part.Attach = append(part.Attach, itx.Attachment{Table: other})
 			}
 			before := rowsAt(tbl, mgr.Stable())
 
-			r, err := StartUber(c.pool, mgr, spec)
+			r, err := StartUber(UberSpec{Isolation: iso, Parts: []UberPart{part}})
 			if err == nil {
 				if c.cancel {
-					r.Job.Cancel()
+					r.Cancel()
 				}
 				_, _, err = r.Finish()
 			}
@@ -175,10 +175,11 @@ func TestUberRunnerCommits(t *testing.T) {
 	defer pool.Close()
 	mgr := txn.NewManager()
 	tbl := loadCounters(t, mgr, "T", 4)
-	r, err := StartUber(pool, mgr, UberSpec{
+	r, err := StartUber(UberSpec{
 		Isolation: isolation.Options{Level: isolation.Asynchronous},
-		Attach:    []itx.Attachment{{Table: tbl}},
-		Build:     countTo(tbl, 20),
+		Parts: []UberPart{{
+			Pool: pool, Mgr: mgr, Attach: []itx.Attachment{{Table: tbl}}, Build: countTo(tbl, 20),
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -197,12 +198,11 @@ func TestUberRunnerCommits(t *testing.T) {
 
 // TestBeginUberOnlyInRunner keeps the uber-transaction lifecycle written
 // once: outside tests and the bench module, itx.BeginUber may be named
-// only by this package's runner and by the shard coordinator, which begins
-// one uber-transaction per shard.
+// only by this package's runner, which begins one uber-transaction per
+// part on one kernel or many.
 func TestBeginUberOnlyInRunner(t *testing.T) {
 	allowed := map[string]bool{
-		"internal/exec/uber.go":         true,
-		"internal/shard/coordinator.go": true,
+		"internal/exec/uber.go": true,
 	}
 	root, err := filepath.Abs("../..")
 	if err != nil {

@@ -118,10 +118,6 @@ func (u *Uber) Commit() (storage.Timestamp, error) {
 	return ts, nil
 }
 
-// Manager returns the transaction manager this uber-transaction publishes
-// through — the shard coordinator prepares it for two-phase commit.
-func (u *Uber) Manager() *txn.Manager { return u.mgr }
-
 // Prepare is the uber-transaction's vote in a coordinated two-phase
 // commit: it verifies the transaction can still commit and locks its
 // manager for publishing (txn.Manager.Prepare). The coordinator then

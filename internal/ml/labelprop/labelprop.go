@@ -154,14 +154,18 @@ func Run(mgr *txn.Manager, tbl *table.Table, g *graph.Graph, cfg Config) (Result
 	if cfg.Isolation.Level == isolation.Synchronous {
 		cfg.Exec.ConvergeTogether = true
 	}
-	r, err := exec.StartUber(cfg.Pool, mgr, exec.UberSpec{
+	r, err := exec.StartUber(exec.UberSpec{
 		Isolation: cfg.Isolation,
-		Attach:    []itx.Attachment{{Table: tbl}},
-		Build: func(storage.Timestamp) ([]itx.Sub, func(int) int, error) {
-			subs, err := buildSubs(tbl, g)
-			return subs, nil, err
-		},
-		Job: cfg.Exec,
+		Parts: []exec.UberPart{{
+			Pool:   cfg.Pool,
+			Mgr:    mgr,
+			Attach: []itx.Attachment{{Table: tbl}},
+			Build: func(storage.Timestamp) ([]itx.Sub, func(int) int, error) {
+				subs, err := buildSubs(tbl, g)
+				return subs, nil, err
+			},
+			Job: cfg.Exec,
+		}},
 	})
 	if err != nil {
 		return Result{}, err

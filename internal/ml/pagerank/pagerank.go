@@ -292,13 +292,17 @@ func BuildSubs(node, edge *table.Table, ts storage.Timestamp, cfg Config) ([]itx
 // node ids (as produced by LoadTables).
 func Run(mgr *txn.Manager, node, edge *table.Table, cfg Config) (Result, error) {
 	cfg = cfg.Normalized()
-	r, err := exec.StartUber(cfg.Pool, mgr, exec.UberSpec{
+	r, err := exec.StartUber(exec.UberSpec{
 		Isolation: cfg.Isolation,
-		Attach:    []itx.Attachment{{Table: node, Versions: cfg.Versions}},
-		Build: func(ts storage.Timestamp) ([]itx.Sub, func(int) int, error) {
-			return BuildSubs(node, edge, ts, cfg)
-		},
-		Job: cfg.Exec,
+		Parts: []exec.UberPart{{
+			Pool:   cfg.Pool,
+			Mgr:    mgr,
+			Attach: []itx.Attachment{{Table: node, Versions: cfg.Versions}},
+			Build: func(ts storage.Timestamp) ([]itx.Sub, func(int) int, error) {
+				return BuildSubs(node, edge, ts, cfg)
+			},
+			Job: cfg.Exec,
+		}},
 	})
 	if err != nil {
 		return Result{}, err

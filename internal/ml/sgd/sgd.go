@@ -328,29 +328,33 @@ func Run(mgr *txn.Manager, tables *Tables, cfg Config) (Result, error) {
 		}
 		attach = rs.attachments()
 	}
-	r, err := exec.StartUber(cfg.Pool, mgr, exec.UberSpec{
+	r, err := exec.StartUber(exec.UberSpec{
 		Isolation: iso,
-		Attach:    attach,
-		Build: func(ts storage.Timestamp) ([]itx.Sub, func(int) int, error) {
-			// One sub-transaction per worker core (Algorithm 3), each on its
-			// worker's region; the first sub of a region mixes its replica.
-			subs, err := BuildSubs(tables, ts, cfg.Pool.Workers(), cfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			if rs != nil {
-				rs.resolve()
-			}
-			seenRegion := make(map[int]bool)
-			for i, s := range subs {
-				s := s.(*sub)
-				s.replica, s.region = rs, topo.RegionOf(i)
-				s.mixer = !seenRegion[s.region]
-				seenRegion[s.region] = true
-			}
-			return subs, topo.RegionOf, nil
-		},
-		Job: cfg.Exec,
+		Parts: []exec.UberPart{{
+			Pool:   cfg.Pool,
+			Mgr:    mgr,
+			Attach: attach,
+			Build: func(ts storage.Timestamp) ([]itx.Sub, func(int) int, error) {
+				// One sub-transaction per worker core (Algorithm 3), each on its
+				// worker's region; the first sub of a region mixes its replica.
+				subs, err := BuildSubs(tables, ts, cfg.Pool.Workers(), cfg)
+				if err != nil {
+					return nil, nil, err
+				}
+				if rs != nil {
+					rs.resolve()
+				}
+				seenRegion := make(map[int]bool)
+				for i, s := range subs {
+					s := s.(*sub)
+					s.replica, s.region = rs, topo.RegionOf(i)
+					s.mixer = !seenRegion[s.region]
+					seenRegion[s.region] = true
+				}
+				return subs, topo.RegionOf, nil
+			},
+			Job: cfg.Exec,
+		}},
 	})
 	if err != nil {
 		return Result{}, err

@@ -190,14 +190,6 @@ func (h HistogramStats) Quantile(p float64) int64 {
 	return quantileFromDense(h.dense(), h.Count, p)
 }
 
-// Mean returns the average recorded value in nanoseconds.
-func (h HistogramStats) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.SumNanos) / float64(h.Count)
-}
-
 func quantileFromDense(buckets [histBuckets]uint64, count uint64, p float64) int64 {
 	if count == 0 || p <= 0 {
 		return 0

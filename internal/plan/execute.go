@@ -238,11 +238,15 @@ func (p *Prepared) runIterates(ctx context.Context, n *Node, iterTS map[*Node]st
 		return err
 	}
 	spec := n.iter
-	r, err := exec.StartUber(p.env.Pool, p.env.Mgr, exec.UberSpec{
+	r, err := exec.StartUber(exec.UberSpec{
 		Isolation: spec.Isolation,
-		Attach:    []itx.Attachment{{Table: spec.Table, Versions: spec.Versions}},
-		Build:     spec.Build,
-		Job:       spec.Exec,
+		Parts: []exec.UberPart{{
+			Pool:   p.env.Pool,
+			Mgr:    p.env.Mgr,
+			Attach: []itx.Attachment{{Table: spec.Table, Versions: spec.Versions}},
+			Build:  spec.Build,
+			Job:    spec.Exec,
+		}},
 	})
 	if err != nil {
 		return err

@@ -1,28 +1,22 @@
 // Package shard implements DB4ML's shard-per-node scale-out: N fully
 // independent kernel instances — each with its own transaction manager,
-// execution pool, and local tables — tied together by three pieces of
-// coordination machinery:
+// execution pool, and local tables — in a Cluster sharing one timestamp
+// oracle, plus placement:
 //
 //   - a Router (router.go) that generalizes the NUMA-region placement
 //     model one level up, mapping global row ids to owning shards with the
 //     same partition schemes tables use for region placement;
 //   - a sharded Table (table.go) that splits one logical ML-table into
 //     per-shard local tables plus a chain-sharing global view, so every
-//     shard can read any row through MVCC without copying state;
-//   - a Coordinator (coordinator.go) that runs one logical
-//     uber-transaction spanning shards: per-shard sub-transaction queues
-//     (each shard's own pool), a two-phase uber-commit that publishes
-//     every shard at one coordinator-chosen timestamp, and — for the
-//     synchronous isolation level — a global rendezvous (barrier.go) that
-//     extends each pool's per-job barrier across shards.
+//     shard can read any row through MVCC without copying state.
 //
-// The design keeps every latency-sensitive path shard-local: sub-
-// transactions run on their shard's pool against their shard's manager,
-// and only the begin/commit edges of the distributed uber-transaction
-// cross shards. Timestamps are the one shared resource — all shard
-// managers draw from a single oracle (txn.NewManagerWithOracle), which is
-// what makes a coordinator-chosen commit timestamp meaningful on every
-// shard and lets cross-shard reads reason about staleness in one clock.
+// Nothing here runs an uber-transaction: a job spanning shards is one
+// exec.StartUber with a part per shard, committed by exec.UberRun.Finish
+// in two phases at one timestamp drawn from the shared oracle, which is
+// what makes that timestamp meaningful on every shard and lets
+// cross-shard reads reason about staleness in one clock. Sub-transactions
+// run on their shard's pool against their shard's manager; only the
+// begin and commit edges cross shards.
 //
 // Isolation across shards is *bounded-staleness by construction*: each
 // shard pins and publishes its own snapshot watermark, so a reader on
@@ -44,13 +38,9 @@ import (
 // registry) and its own worker pool. Only the timestamp oracle is shared
 // with the other shards of a Cluster.
 type Kernel struct {
-	id   int
 	mgr  *txn.Manager
 	pool *exec.Pool
 }
-
-// ID returns the shard's index within its cluster.
-func (k *Kernel) ID() int { return k.id }
 
 // Mgr returns the shard's transaction manager.
 func (k *Kernel) Mgr() *txn.Manager { return k.mgr }
@@ -81,7 +71,7 @@ func NewCluster(n int, cfg exec.Config) (*Cluster, error) {
 			}
 			return nil, err
 		}
-		c.kernels[i] = &Kernel{id: i, mgr: txn.NewManagerWithOracle(c.oracle), pool: pool}
+		c.kernels[i] = &Kernel{mgr: txn.NewManagerWithOracle(c.oracle), pool: pool}
 	}
 	return c, nil
 }
@@ -91,9 +81,6 @@ func (c *Cluster) Shards() int { return len(c.kernels) }
 
 // Kernel returns shard i.
 func (c *Cluster) Kernel(i int) *Kernel { return c.kernels[i] }
-
-// Oracle returns the cluster-wide timestamp oracle.
-func (c *Cluster) Oracle() *storage.Oracle { return c.oracle }
 
 // Close stops every shard's worker pool, draining in-flight jobs.
 func (c *Cluster) Close() {

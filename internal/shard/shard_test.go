@@ -1,16 +1,11 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
-	"db4ml/internal/chaos"
 	"db4ml/internal/exec"
-	"db4ml/internal/isolation"
-	"db4ml/internal/itx"
 	"db4ml/internal/partition"
 	"db4ml/internal/storage"
 	"db4ml/internal/table"
@@ -36,19 +31,6 @@ func newCluster(t *testing.T, n, workers int) *Cluster {
 	}
 	t.Cleanup(c.Close)
 	return c
-}
-
-func loadZeros(t *testing.T, c *Cluster, st *Table, rows int) storage.Timestamp {
-	t.Helper()
-	payloads := make([]storage.Payload, rows)
-	for i := range payloads {
-		payloads[i] = storage.Payload{0, 0}
-	}
-	ts, err := st.Load(c, payloads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ts
 }
 
 func TestTableLoadPlacesRowsAndBuildsView(t *testing.T) {
@@ -107,275 +89,6 @@ func TestPublishAllIsGloballyAtomic(t *testing.T) {
 	}
 }
 
-// distCounterSub is the distributed cousin of the sweep's counter ring:
-// sub g owns global row g of the view, reads its ring neighbor — which may
-// live on another shard — and counts its own row to target.
-type distCounterSub struct {
-	view     *table.Table
-	row, nbr table.RowID
-	target   uint64
-	level    isolation.Level
-
-	rec, nrec *storage.IterativeRecord
-	buf, nbuf storage.Payload
-	reached   uint64
-}
-
-func (s *distCounterSub) Begin(c *itx.Ctx) {
-	s.rec = s.view.IterRecord(s.row)
-	s.nrec = s.view.IterRecord(s.nbr)
-	s.buf = make(storage.Payload, 2)
-	s.nbuf = make(storage.Payload, 2)
-}
-
-func (s *distCounterSub) Execute(c *itx.Ctx) {
-	c.Read(s.nrec, s.nbuf)
-	c.Read(s.rec, s.buf)
-	next := s.buf[0] + 1
-	if next > s.target {
-		next = s.target
-	}
-	s.reached = next
-	if s.level == isolation.Asynchronous {
-		c.WriteCol(s.rec, 0, next)
-		c.WriteCol(s.rec, 1, next)
-	} else {
-		s.buf[0], s.buf[1] = next, next
-		c.Write(s.rec, s.buf)
-	}
-}
-
-func (s *distCounterSub) Validate(c *itx.Ctx) itx.Action {
-	if s.reached >= s.target {
-		return itx.Done
-	}
-	return itx.Commit
-}
-
-// buildRingRun assembles the per-shard plans of a distributed counter-ring
-// uber-transaction over st.
-func buildRingRun(st *Table, opts isolation.Options, target uint64, global bool) UberRun {
-	n := st.NumRows()
-	plans := make([]Plan, st.Router().Shards())
-	for i := range plans {
-		plans[i].Attach = []Attachment{{Table: st.Local(i)}}
-		plans[i].Config = exec.JobConfig{BatchSize: 2, Label: fmt.Sprintf("ring@s%d", i)}
-	}
-	for g := 0; g < n; g++ {
-		s := st.ShardOf(table.RowID(g))
-		plans[s].Subs = append(plans[s].Subs, &distCounterSub{
-			view:   st.View(),
-			row:    table.RowID(g),
-			nbr:    table.RowID((g + 1) % n),
-			target: target,
-			level:  opts.Level,
-		})
-	}
-	return UberRun{Isolation: opts, Plans: plans, GlobalBarrier: global}
-}
-
-func TestCoordinatorDistributedCommit(t *testing.T) {
-	for _, level := range isolation.Levels() {
-		t.Run(level.String(), func(t *testing.T) {
-			c := newCluster(t, 2, 2)
-			st := NewTable("ring", testSchema(t), NewRouter(partition.Range, 2, 0))
-			loadZeros(t, c, st, 4)
-			co := NewCoordinator(c)
-			defer co.Close()
-
-			opts := isolation.Options{Level: level}
-			if level == isolation.BoundedStaleness {
-				opts.Staleness = 2
-			}
-			const target = 5
-			h, err := co.Submit(buildRingRun(st, opts, target, true))
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, ts, err := h.Wait()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ts == 0 {
-				t.Fatal("commit timestamp is 0")
-			}
-			// Atomic in timestamp order on every shard: all shards' stable
-			// watermarks reached the one commit timestamp, and every row —
-			// read through the view at ts — carries the converged value.
-			for i := 0; i < c.Shards(); i++ {
-				if got := c.Kernel(i).Mgr().Stable(); got != ts {
-					t.Fatalf("shard %d stable = %d, want commit ts %d", i, got, ts)
-				}
-			}
-			for g := 0; g < 4; g++ {
-				p, ok := st.View().Read(table.RowID(g), ts)
-				if !ok || p[0] != target || p[1] != target {
-					t.Fatalf("row %d at ts %d = %v,%v, want (%d,%d)", g, ts, p, ok, target, target)
-				}
-				// And invisible just before it: the commit is atomic.
-				if p, ok := st.View().Read(table.RowID(g), ts-1); ok && p[0] != 0 {
-					t.Fatalf("row %d at ts-1 shows %d, want pre-run 0", g, p[0])
-				}
-			}
-		})
-	}
-}
-
-func TestCoordinatorAbortsAllShardsWhenOneFails(t *testing.T) {
-	c := newCluster(t, 2, 2)
-	st := NewTable("ring", testSchema(t), NewRouter(partition.Range, 2, 0))
-	loadZeros(t, c, st, 4)
-	co := NewCoordinator(c)
-	defer co.Close()
-
-	run := buildRingRun(st, isolation.Options{Level: isolation.Asynchronous}, 1_000_000, false)
-	// Shard 1's job cancels itself mid-run; shard 0 would happily converge.
-	run.Plans[1].Config.Chaos = chaos.NewSeeded(7, 2, chaos.Config{CancelAfter: 10})
-
-	h, err := co.Submit(run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ts, err := h.Wait()
-	if err == nil {
-		t.Fatal("want error from cancelled shard, got nil")
-	}
-	if ts != 0 {
-		t.Fatalf("aborted run reports commit ts %d", ts)
-	}
-	// 2PC atomicity: NO shard published anything — every row still 0 at
-	// every shard's current stable snapshot.
-	for g := 0; g < 4; g++ {
-		s, l, _ := st.Locate(table.RowID(g))
-		p, ok := st.Local(s).Read(l, c.Kernel(s).Mgr().Stable())
-		if !ok || p[0] != 0 {
-			t.Fatalf("row %d (shard %d) = %v,%v after distributed abort, want 0", g, s, p, ok)
-		}
-	}
-}
-
-func TestCoordinatorCancelPropagatesToAllShards(t *testing.T) {
-	c := newCluster(t, 2, 2)
-	st := NewTable("ring", testSchema(t), NewRouter(partition.Range, 2, 0))
-	loadZeros(t, c, st, 4)
-	co := NewCoordinator(c)
-	defer co.Close()
-
-	// Unreachable target: only Cancel can end this run.
-	h, err := co.Submit(buildRingRun(st, isolation.Options{Level: isolation.Asynchronous}, 1<<62, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(5 * time.Millisecond)
-	h.Cancel()
-	_, ts, err := h.Wait()
-	if err == nil || ts != 0 {
-		t.Fatalf("cancelled run: ts=%d err=%v, want abort", ts, err)
-	}
-}
-
-func TestRendezvous(t *testing.T) {
-	rz := NewRendezvous(3)
-	var wg sync.WaitGroup
-	rounds := make([]int, 3)
-	for p := 0; p < 3; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for r := 0; r < 50; r++ {
-				rz.Arrive()
-				rounds[p]++
-			}
-			rz.Leave()
-		}(p)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("rendezvous deadlocked")
-	}
-	for p, r := range rounds {
-		if r != 50 {
-			t.Fatalf("party %d completed %d rounds, want 50", p, r)
-		}
-	}
-}
-
-func TestRendezvousLeaveReleasesWaiters(t *testing.T) {
-	rz := NewRendezvous(2)
-	released := make(chan struct{})
-	go func() { rz.Arrive(); close(released) }()
-	time.Sleep(time.Millisecond)
-	rz.Leave() // the second party never arrives; it leaves instead
-	select {
-	case <-released:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Leave did not release the waiting party")
-	}
-}
-
-// TestRendezvousVote drives three parties through voting generations:
-// the AND of the ballots is returned to every party, a leaver counts as
-// assent, and a broken rendezvous vetoes.
-func TestRendezvousVote(t *testing.T) {
-	const parties, rounds = 3, 40
-	rz := NewRendezvous(parties)
-	// Party p votes true in round r iff r >= p*10: round r's global AND
-	// flips to true exactly when the slowest party's threshold passes.
-	results := make([][rounds]bool, parties)
-	var wg sync.WaitGroup
-	for p := 0; p < parties; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				results[p][r] = rz.ArriveVote(r >= p*10)
-			}
-			rz.Leave()
-		}(p)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("voting rendezvous deadlocked")
-	}
-	for p := 0; p < parties; p++ {
-		for r := 0; r < rounds; r++ {
-			if want := r >= (parties-1)*10; results[p][r] != want {
-				t.Fatalf("party %d round %d vote = %v, want %v", p, r, results[p][r], want)
-			}
-		}
-	}
-
-	// A departed party assents: the remaining voter's ballot decides.
-	rz = NewRendezvous(2)
-	got := make(chan bool, 1)
-	go func() { got <- rz.ArriveVote(true) }()
-	time.Sleep(time.Millisecond)
-	rz.Leave()
-	select {
-	case v := <-got:
-		if !v {
-			t.Fatal("vote with a departed (assenting) party returned false")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Leave did not release the voting party")
-	}
-
-	// Break vetoes: a waiter released by teardown must not retire anyone.
-	rz = NewRendezvous(2)
-	go func() { got <- rz.ArriveVote(true) }()
-	time.Sleep(time.Millisecond)
-	rz.Break()
-	if v := <-got; v {
-		t.Fatal("broken rendezvous approved a vote")
-	}
-}
-
 // TestRouterRouteRepartitionRace drives concurrent Route and Repartition
 // calls; under -race this proves the atomic-swap design has no torn reads.
 func TestRouterRouteRepartitionRace(t *testing.T) {
@@ -410,60 +123,5 @@ func TestRouterRouteRepartitionRace(t *testing.T) {
 	wg.Wait()
 	if r.Shards() != 4 {
 		t.Fatalf("Shards() changed to %d", r.Shards())
-	}
-}
-
-// TestCoordinatorSubmitCloseRace races Submit against Close (the sharded
-// analogue of the facade's DB.Close vs SubmitML race): every Submit either
-// fails with ErrClosed or resolves fully, and Close returns only after
-// every admitted run's distributed commit/abort.
-func TestCoordinatorSubmitCloseRace(t *testing.T) {
-	c := newCluster(t, 2, 2)
-	co := NewCoordinator(c)
-
-	// One table per submitter: two uber-transactions may not attach the
-	// same rows concurrently (by design), and this test races admission,
-	// not attachment.
-	const submitters = 8
-	tables := make([]*Table, submitters)
-	for g := range tables {
-		tables[g] = NewTable(fmt.Sprintf("ring%d", g), testSchema(t), NewRouter(partition.Range, 2, 0))
-		loadZeros(t, c, tables[g], 4)
-	}
-
-	var wg sync.WaitGroup
-	handles := make(chan *Handle, submitters*8)
-	for g := 0; g < submitters; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 8; i++ {
-				h, err := co.Submit(buildRingRun(tables[g], isolation.Options{Level: isolation.Asynchronous}, 3, false))
-				if err != nil {
-					if !errors.Is(err, ErrClosed) {
-						panic(err)
-					}
-					return
-				}
-				handles <- h
-				// Resolve before resubmitting on the same table: the next
-				// attempt re-attaches the rows this one still holds.
-				if _, _, err := h.Wait(); err != nil {
-					panic(err)
-				}
-			}
-		}(g)
-	}
-	time.Sleep(2 * time.Millisecond)
-	co.Close()
-	wg.Wait()
-	close(handles)
-	// Close has returned: every admitted handle must already be resolved.
-	for h := range handles {
-		select {
-		case <-h.Done():
-		default:
-			t.Fatal("Close returned with an unresolved handle")
-		}
 	}
 }

@@ -62,9 +62,6 @@ func (t *Table) Name() string { return t.name }
 // Schema returns the table schema.
 func (t *Table) Schema() table.Schema { return t.schema }
 
-// Router returns the router placing this table's rows.
-func (t *Table) Router() *Router { return t.router }
-
 // View returns the global view table: row id g is global row g, backed by
 // the owning shard's version chain. Use it for reads, scans, query plans,
 // and for building sub-transactions that address rows globally. It refuses

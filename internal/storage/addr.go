@@ -25,20 +25,9 @@ func (r *IterativeRecord) SlotDataAddr(iter uint64, col int) uintptr {
 	return uintptr(unsafe.Pointer(&r.slots[iter%uint64(len(r.slots))].data[col]))
 }
 
-// PayloadAddr returns the address of element i of a payload or any other
-// []uint64 / []float64-backed vector via SliceAddr.
-func PayloadAddr(p Payload, i int) uintptr {
-	return uintptr(unsafe.Pointer(&p[i]))
-}
-
 // Float64SliceAddr returns the address of element i of a float64 slice —
 // the plain-array model of the baselines.
 func Float64SliceAddr(s []float64, i int) uintptr {
-	return uintptr(unsafe.Pointer(&s[i]))
-}
-
-// Uint64SliceAddr returns the address of element i of a uint64 slice.
-func Uint64SliceAddr(s []uint64, i int) uintptr {
 	return uintptr(unsafe.Pointer(&s[i]))
 }
 

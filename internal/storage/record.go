@@ -98,16 +98,9 @@ func (r *Record) End() Timestamp { return Timestamp(r.end.Load()) }
 // after the garbage collector cut the link).
 func (r *Record) Prev() *Record { return r.prev.Load() }
 
-// SetPrev links r to the version it supersedes. Chain surgery outside
-// Install/Prune is test-only.
-func (r *Record) SetPrev(p *Record) { r.prev.Store(p) }
-
 // Iter returns the iterative record riding on this version, nil for plain
 // versions (or after the garbage collector stripped a superseded one).
 func (r *Record) Iter() *IterativeRecord { return r.iter.Load() }
-
-// SetIter attaches an iterative record to this version.
-func (r *Record) SetIter(ir *IterativeRecord) { r.iter.Store(ir) }
 
 // SetBegin publishes the version as of ts. Uber-transactions use this to
 // flip an in-flight iterative record (begin = InfTS, invisible to everyone)

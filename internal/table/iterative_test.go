@@ -1,9 +1,9 @@
 package table
 
 import (
-	"runtime"
 	"testing"
 
+	"db4ml/internal/alloctest"
 	"db4ml/internal/storage"
 )
 
@@ -148,18 +148,17 @@ func TestIterRecordAfterCommitStillAccessible(t *testing.T) {
 // commit allocates nothing per row.
 func TestCommitIterativeAllocatesPerTable(t *testing.T) {
 	allocs := func(n int) uint64 {
-		tbl := newNodeTable(t, n)
-		if err := tbl.StartIterative(5, 1, nil); err != nil {
-			t.Fatal(err)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		err := tbl.CommitIterative(6, nil)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return after.Mallocs - before.Mallocs
+		return alloctest.Min(5, func() func() {
+			tbl := newNodeTable(t, n)
+			if err := tbl.StartIterative(5, 1, nil); err != nil {
+				t.Fatal(err)
+			}
+			return func() {
+				if err := tbl.CommitIterative(6, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}).Mallocs
 	}
 	small, large := allocs(256), allocs(4096)
 	if large > small || large > 2 {

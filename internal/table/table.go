@@ -209,13 +209,6 @@ func (t *Table) AdoptChain(c *storage.VersionChain) (RowID, error) {
 	return id, nil
 }
 
-// IsView reports whether this table was assembled from adopted chains.
-func (t *Table) IsView() bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.view
-}
-
 // Chain returns the version chain of row, or nil if the row does not exist.
 // The chain pointer is stable for the lifetime of the table, so hot paths
 // (sub-transaction tx_state) may cache it.
@@ -281,28 +274,6 @@ type ScanHint struct {
 	// membership without any payload copy. nil Test scans unconditionally.
 	Col  int
 	Test func(word uint64) bool
-}
-
-// ScanFiltered calls fn with every row in h's row-id range whose version
-// visible at ts passes h's predicate, in RowID order, stopping early if fn
-// returns false. Payloads are passed in place (not cloned) and are valid
-// only inside fn, exactly like Scan; rows rejected by the predicate are
-// never materialized at all (storage.VersionChain.VisibleMatch).
-func (t *Table) ScanFiltered(ts storage.Timestamp, h ScanHint, fn func(row RowID, payload storage.Payload) bool) {
-	slots := t.Slots()
-	hi := RowID(len(slots))
-	if h.Hi != 0 && h.Hi < hi {
-		hi = h.Hi
-	}
-	for i := h.Lo; i < hi; i++ {
-		rec, ok := slots[i].VisibleMatch(ts, h.Col, h.Test)
-		if !ok {
-			continue
-		}
-		if !fn(i, rec.Payload) {
-			return
-		}
-	}
 }
 
 // RowsInRange returns the number of row slots a ScanHint's range covers —

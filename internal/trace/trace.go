@@ -181,18 +181,6 @@ func New(workers, capacity int) *Tracer {
 // Enabled reports whether the tracer records anything (i.e. is non-nil).
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// Epoch returns the wall-clock instant this tracer's Start offsets are
-// relative to. Merging rings from tracers constructed at different times
-// (one per shard) requires re-basing every event onto one shared epoch;
-// WriteChromeTraceMulti does this with the deltas between source epochs.
-// The zero time on a nil tracer.
-func (t *Tracer) Epoch() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.epoch
-}
-
 // Now returns the current time in nanoseconds since the tracer's epoch —
 // the Start argument for Span. Monotonic (time.Since). Returns 0 on a nil
 // tracer.

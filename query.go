@@ -109,10 +109,6 @@ type QueryRun struct {
 	// Tracer, when non-nil, records the query's plan/operator spans; nil
 	// inherits the debug server's shared tracer when one is enabled.
 	Tracer *Tracer
-	// NoPushdown disables predicate pushdown, NoPresize disables hash
-	// build pre-sizing — baseline switches for comparisons.
-	NoPushdown bool
-	NoPresize  bool
 }
 
 // QueryHandle tracks one in-flight SubmitQuery. Like JobHandle, one handle
@@ -155,13 +151,11 @@ func (h *QueryHandle) Explain() *ExplainNode {
 // per-run overrides, mirroring how SubmitML resolves its JobConfig.
 func (db *DB) queryEnv(run QueryRun) plan.Env {
 	env := plan.Env{
-		Mgr:        db.mgr,
-		Pool:       db.pool,
-		Obs:        run.Observer,
-		Tracer:     run.Tracer,
-		Job:        db.queryID.Add(1),
-		NoPushdown: run.NoPushdown,
-		NoPresize:  run.NoPresize,
+		Mgr:    db.mgr,
+		Pool:   db.pool,
+		Obs:    run.Observer,
+		Tracer: run.Tracer,
+		Job:    db.queryID.Add(1),
 	}
 	if env.Tracer == nil {
 		env.Tracer = db.tracer

@@ -2,12 +2,9 @@ package db4ml
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
-	"db4ml/internal/chaos"
 	"db4ml/internal/exec"
 	"db4ml/internal/gc"
 	"db4ml/internal/introspect"
@@ -24,7 +21,7 @@ import (
 // This file is the sharded facade: OpenSharded builds N independent kernel
 // instances (each with its own transaction manager, worker pool, stable
 // watermark, and GC) sharing only the timestamp oracle, and runs every ML
-// job as a distributed uber-transaction through the shard coordinator —
+// job as one uber-transaction with a part per shard (exec.StartUber) —
 // begun and attached on every shard before any shard executes, committed
 // with a two-phase protocol at one shared-oracle timestamp, aborted
 // everywhere if any shard fails. See DESIGN.md §15 and internal/shard.
@@ -40,7 +37,7 @@ import (
 // the built-in algorithms' convention, so PageRank and SGD run unchanged).
 
 // ShardedTable exposes a sharded table's placement surface: View, Local,
-// ShardOf, Locate, LocalRows, Router. CreateTable on a sharded database
+// ShardOf, Locate, LocalRows. CreateTable on a sharded database
 // registers one and returns its View; retrieve the full object with
 // ShardedDB.ShardedTable.
 type ShardedTable = shard.Table
@@ -74,7 +71,6 @@ type ShardedDB struct {
 	supervisor
 
 	cluster *shard.Cluster
-	co      *shard.Coordinator
 	scheme  partition.Scheme
 
 	tblMu  sync.RWMutex
@@ -89,13 +85,12 @@ type ShardedDB struct {
 	// oldest active snapshot and pruning only the locals that shard owns.
 	reclaimers []*gc.Reclaimer
 
-	tracerOnce sync.Once
-
 	// Introspection state, non-nil only under WithDebugServer: the
-	// coordinator's own tracer (uber-begin, per-shard prepare, 2PC commit
-	// windows), one engine tracer per shard, the per-shard aggregator
-	// behind the cluster-wide /metrics and the /debug/shards breakdown,
-	// and the debug server itself.
+	// coordinator tracer (the lifecycle spans of runs without their own
+	// tracer: uber-begin, per-shard prepare, 2PC commit windows), one
+	// engine tracer per shard, the per-shard aggregator behind the
+	// cluster-wide /metrics and the /debug/shards breakdown, and the debug
+	// server itself.
 	coTracer     *trace.Tracer
 	shardTracers []*trace.Tracer
 	agg          *introspect.ShardedAggregator
@@ -129,7 +124,6 @@ func OpenSharded(opts ...Option) *ShardedDB {
 	db := &ShardedDB{
 		supervisor: newSupervisor(&oc),
 		cluster:    cluster,
-		co:         shard.NewCoordinator(cluster),
 		scheme:     oc.shardScheme,
 		tables:     make(map[string]*ShardedTable),
 		byView:     make(map[*Table]*ShardedTable),
@@ -145,12 +139,11 @@ func OpenSharded(opts ...Option) *ShardedDB {
 		}
 	}
 	if oc.debugAddr != "" {
-		// Cluster-wide introspection: the coordinator's 2PC spans get their
-		// own tracer, each shard's engine spans its own, and /debug/trace
-		// merges them into one Chrome trace with a named process per source.
+		// Cluster-wide introspection: the 2PC lifecycle spans get their own
+		// tracer, each shard's engine spans its own, and /debug/trace merges
+		// them into one Chrome trace with a named process per source.
 		workers := cfg.Resolved().Workers
 		db.coTracer = trace.New(1, 0)
-		db.tracerOnce.Do(func() { db.co.SetTracer(db.coTracer) })
 		db.shardTracers = make([]*trace.Tracer, oc.shards)
 		for s := range db.shardTracers {
 			db.shardTracers[s] = trace.New(workers, 0)
@@ -172,19 +165,13 @@ func OpenSharded(opts ...Option) *ShardedDB {
 	}
 	if oc.walDir != "" {
 		// Durability telemetry is cluster-level; it lives on shard 0's
-		// aggregator, like the coordinator's.
+		// aggregator, like the 2PC telemetry's.
 		dur, err := recoverKernel(db, oc, db.agg.Shard(0), db.coTracer)
 		if err != nil {
 			db.Close()
 			panic("db4ml: recovery: " + err.Error())
 		}
 		db.dur = dur
-		db.co.SetCrash(oc.crash)
-		if oc.ckptEvery > 0 {
-			// The checkpointer rides shard 0's maintenance goroutine; the
-			// cut it takes spans every shard.
-			cluster.Kernel(0).Pool().Maintain(oc.ckptEvery, func() { _ = db.Checkpoint() })
-		}
 	}
 	return db
 }
@@ -254,7 +241,6 @@ func (db *ShardedDB) Cluster() *shard.Cluster { return db.cluster }
 // working.
 func (db *ShardedDB) Close() error {
 	db.stopAdmitting()
-	db.co.Close()
 	db.handles.Wait()
 	db.cluster.Close()
 	if db.dur != nil {
@@ -466,199 +452,64 @@ func (db *ShardedDB) GCStats() (passes, pruned uint64) {
 	return passes, pruned
 }
 
-// ShardedJobHandle tracks one in-flight distributed ML run. One handle
-// spans every retry attempt (a failed attempt's uber-transaction aborted
-// on every shard, so resubmission is side-effect-free) and resolves only
-// when the final attempt's two-phase commit or abort settled everywhere.
-type ShardedJobHandle struct {
-	handleCore
-	inner     atomic.Pointer[shard.Handle]
-	observers []*Observer
-	stats     []ExecStats
-}
-
-// Wait blocks until the distributed run finished (commit or abort on every
-// shard, retries included) and returns per-shard stats (index = shard id;
-// zero value for shards that ran no sub-transactions).
-func (h *ShardedJobHandle) Wait() ([]ExecStats, error) {
-	<-h.done
-	return h.stats, h.err
-}
-
-// CommitTS returns the global commit timestamp — the one timestamp every
-// shard published at: zero until the run resolved, and zero forever if it
-// aborted or was never acknowledged.
-func (h *ShardedJobHandle) CommitTS() Timestamp { return h.commitTS() }
-
-// ShardObservers returns the per-shard observers (index = shard id), or
-// nil when the run was submitted without MLRun.Observer. Shard 0's is the
-// caller's observer; the rest were auto-attached.
-func (h *ShardedJobHandle) ShardObservers() []*Observer { return h.observers }
-
-// ShardSnapshots exports every shard's telemetry snapshot (nil without
-// MLRun.Observer).
-func (h *ShardedJobHandle) ShardSnapshots() []TelemetrySnapshot {
-	if h.observers == nil {
-		return nil
-	}
-	out := make([]TelemetrySnapshot, len(h.observers))
-	for i, o := range h.observers {
-		out[i] = o.Snapshot()
-	}
-	return out
-}
-
 // SubmitML starts one ML algorithm as a DISTRIBUTED uber-transaction and
 // returns without waiting. Placement: sub-transaction i runs on shard
 // MLRun.ShardOf(i) (default: the shard owning global row i of the first
-// attached table). Every shard's slice attaches its local rows of every
-// attached table; the coordinator begins and attaches all shards before
-// any shard executes, so cross-shard reads through the view always find
-// sibling shards' iterative records in place. On success the result
-// publishes atomically on every shard at one timestamp; on any shard's
-// failure the run aborts everywhere. Under the synchronous level the
-// per-shard barriers are tied into one global rendezvous, so "reads see
-// exactly the previous iteration" holds across shards too.
-func (db *ShardedDB) SubmitML(ctx context.Context, run MLRun) (*ShardedJobHandle, error) {
+// attached table). Every shard's part attaches its local rows of every
+// attached table; all shards are begun and attached before any shard
+// executes, so cross-shard reads through the view always find sibling
+// shards' iterative records in place. On success the result publishes
+// atomically on every shard at one timestamp; on any shard's failure the
+// run aborts everywhere. Under the synchronous level the per-shard
+// barriers are tied into one global rendezvous, so "reads see exactly the
+// previous iteration" holds across shards too.
+func (db *ShardedDB) SubmitML(ctx context.Context, run MLRun) (*JobHandle, error) {
 	if err := db.admit(ctx, run.Observer); err != nil {
 		return nil, err
 	}
 	set := db.settings(run)
-	uber, observers, err := db.uberRun(run, set)
+	m, err := db.uberRun(run, set)
 	if err != nil {
 		db.release()
 		return nil, err
 	}
-	submit := func() (*shard.Handle, error) {
-		inner, err := db.co.Submit(uber)
-		if errors.Is(err, shard.ErrClosed) || errors.Is(err, exec.ErrPoolClosed) {
-			err = ErrClosed
-		}
-		return inner, err
-	}
-	inner, err := submit()
-	if err != nil {
-		db.release()
-		return nil, err
-	}
-	for s, o := range observers {
-		db.agg.Shard(s).Attach(o)
-	}
-
-	h := &ShardedJobHandle{observers: observers}
-	h.init(ctx)
-	h.inner.Store(inner)
-	db.runs.track(&h.handleCore, func(state string) []introspect.JobInfo {
-		// One row per (job, shard) so per-shard progress of one distributed
-		// run reads side by side; all rows share its correlation id.
-		inner := h.inner.Load()
-		var rows []introspect.JobInfo
-		for s := 0; s < db.cluster.Shards(); s++ {
-			j := inner.ShardJob(s)
-			if j == nil {
-				continue
-			}
-			info := introspect.NewJobInfo(inner.TraceID(), j.Label(), state,
-				h.Attempts(), j.Live(), j.Total(), j.Started(), set.deadline)
-			sh := s
-			info.Shard = &sh
-			rows = append(rows, info)
-		}
-		return rows
-	})
-	var o0 *Observer
-	if observers != nil {
-		o0 = observers[0]
-	}
-	tracer := run.Tracer
-	if tracer == nil {
-		tracer = db.coTracer
-	}
-	// The commit is logged from the attached views: their chains are the
-	// locals' chains, so after-images read identically.
-	views := distinctTables(run.Attach)
-	go db.supervise(&h.handleCore, attempt{
-		policy: set.policy,
-		token:  inner.TraceID(),
-		obs:    o0,
-		tracer: tracer,
-		try: func() (bool, error) {
-			inner := h.inner.Load()
-			select {
-			case <-h.ctx.Done():
-				inner.Cancel()
-			case <-inner.Done():
-			}
-			stats, ts, err := inner.Wait()
-			h.stats = stats
-			if errors.Is(err, chaos.ErrCrashed) {
-				// A coordinator kill-point fired: the "process" is dead.
-				// Freeze the WAL and resolve terminally — recovery, not
-				// retry, is what follows a crash.
-				db.dur.freeze()
-				return false, err
-			}
-			if err != nil {
-				return inner.Quiesced(), err
-			}
-			if err := db.dur.appendCommit(ts, views, inner.TraceID()); err != nil {
-				// Durably uncertain commits are never acknowledged.
-				return false, err
-			}
-			h.ts = ts
-			return false, nil
-		},
-		resubmit: func() (uint64, error) {
-			next, err := submit()
-			if err != nil {
-				return 0, err
-			}
-			h.inner.Store(next)
-			return next.TraceID(), nil
-		},
-		settle: func() {
-			db.runs.settle(&h.handleCore)
-			for s, o := range observers {
-				db.agg.Shard(s).Complete(o)
-			}
-		},
-	})
-	return h, nil
+	return db.submitML(ctx, set, db.dur, m)
 }
 
-// uberRun plans run across the cluster: every attachment resolved to its
-// sharded table and split into per-shard locals, the sub-transactions
-// grouped by placement, and one job configuration per shard. It also
-// returns the per-shard observers, nil when the run is uninstrumented.
-func (db *ShardedDB) uberRun(run MLRun, set settings) (shard.UberRun, []*Observer, error) {
+// uberRun lays run out across the cluster: every attachment resolved to
+// its sharded table and split into per-shard locals, the sub-transactions
+// grouped by placement, and one part per shard with its own job
+// configuration and observer. The commit logs the attached views: their
+// chains are the locals' chains, so after-images read identically.
+func (db *ShardedDB) uberRun(run MLRun, set settings) (mlRun, error) {
 	if len(run.Attach) == 0 {
-		return shard.UberRun{}, nil, fmt.Errorf("db4ml: a sharded ML run must attach at least one table")
+		return mlRun{}, fmt.Errorf("db4ml: a sharded ML run must attach at least one table")
 	}
 	if run.Recorder != nil {
 		// Every shard's pool numbers its sub-transactions from zero, so one
 		// recorder shared by all shards would merge distinct subs.
-		return shard.UberRun{}, nil, fmt.Errorf("db4ml: MLRun.Recorder is not supported on a sharded database")
+		return mlRun{}, fmt.Errorf("db4ml: MLRun.Recorder is not supported on a sharded database")
 	}
 	n := db.cluster.Shards()
 
 	// Every shard attaches (and votes in the two-phase commit) even when it
 	// runs no sub-transactions.
 	var primary *ShardedTable
-	attach := make([][]shard.Attachment, n)
+	attach := make([][]Attachment, n)
 	for ai, a := range run.Attach {
 		st, err := db.shardedOf(a.Table)
 		if err != nil {
-			return shard.UberRun{}, nil, err
+			return mlRun{}, err
 		}
 		if ai == 0 {
 			primary = st
 		}
 		locals, err := st.LocalRows(a.Rows)
 		if err != nil {
-			return shard.UberRun{}, nil, err
+			return mlRun{}, err
 		}
 		for s := 0; s < n; s++ {
-			attach[s] = append(attach[s], shard.Attachment{
+			attach[s] = append(attach[s], Attachment{
 				Table:    st.Local(s),
 				Rows:     locals[s],
 				Versions: a.Versions,
@@ -675,32 +526,29 @@ func (db *ShardedDB) uberRun(run MLRun, set settings) (shard.UberRun, []*Observe
 	for i, sub := range run.Subs {
 		s := shardOf(i)
 		if s < 0 || s >= n {
-			return shard.UberRun{}, nil, fmt.Errorf("db4ml: sub-transaction %d routed to shard %d of %d (is the first attached table loaded?)", i, s, n)
+			return mlRun{}, fmt.Errorf("db4ml: sub-transaction %d routed to shard %d of %d (is the first attached table loaded?)", i, s, n)
 		}
 		subs[s] = append(subs[s], sub)
 	}
 
-	var observers []*Observer
-	if run.Observer != nil || db.agg != nil {
-		observers = make([]*Observer, n)
-		observers[0] = run.Observer
-		if observers[0] == nil {
-			// The debug server aggregates across runs; give uninstrumented
-			// runs observers so /metrics and /debug/shards reflect them too.
-			observers[0] = obs.New()
-		}
-		for s := 1; s < n; s++ {
-			observers[s] = obs.New()
-		}
+	tracer := run.Tracer
+	if tracer == nil {
+		tracer = db.coTracer
 	}
-	if run.Tracer != nil {
-		// Coordinator-level spans (the global commit instant) go to the
-		// first tracer any run brings; per-shard engine spans go to each
-		// run's own tracer below.
-		db.tracerOnce.Do(func() { db.co.SetTracer(run.Tracer) })
+	m := mlRun{
+		spec: exec.UberSpec{
+			Isolation: run.Isolation,
+			Parts:     make([]exec.UberPart, n),
+			// The synchronous level's contract is global: no shard may enter
+			// a round before every shard finished the previous one.
+			GlobalBarrier: run.Isolation.Level == Synchronous,
+			Crash:         db.dur.killer(),
+			Tracer:        tracer,
+		},
+		aggs:    make([]*introspect.Aggregator, n),
+		tables:  distinctTables(run.Attach),
+		sharded: true,
 	}
-
-	plans := make([]shard.Plan, n)
 	for s := 0; s < n; s++ {
 		cfg := set.jobConfig(run)
 		if run.Label != "" {
@@ -711,26 +559,31 @@ func (db *ShardedDB) uberRun(run MLRun, set settings) (shard.UberRun, []*Observe
 			// the merged /debug/trace shows them as separate processes.
 			cfg.Tracer = db.shardTracers[s]
 		}
-		if observers != nil {
-			cfg.Observer = observers[s]
+		if s > 0 || cfg.Observer == nil {
+			// Shard 0 reports to the caller's observer. Every other shard of
+			// an instrumented run, and every shard of a run under the debug
+			// server, gets its own, so /metrics and /debug/shards see it.
+			cfg.Observer = nil
+			if run.Observer != nil || db.agg != nil {
+				cfg.Observer = obs.New()
+			}
 		}
-		plans[s] = shard.Plan{Attach: attach[s], Subs: subs[s], Config: cfg}
+		k := db.cluster.Kernel(s)
+		m.spec.Parts[s] = exec.UberPart{
+			Pool: k.Pool(), Mgr: k.Mgr(), Attach: attach[s], Build: subsOf(subs[s]), Job: cfg,
+		}
+		m.aggs[s] = db.agg.Shard(s)
 	}
-	return shard.UberRun{
-		Isolation: run.Isolation,
-		Plans:     plans,
-		// The synchronous level's contract is global: no shard may enter a
-		// round before every shard finished the previous one.
-		GlobalBarrier: run.Isolation.Level == Synchronous,
-	}, observers, nil
+	return m, nil
 }
 
 // RunML executes one ML algorithm as a distributed uber-transaction and
-// blocks until it finished, returning per-shard stats.
-func (db *ShardedDB) RunML(run MLRun) ([]ExecStats, error) {
+// blocks until it finished, returning the shards' stats combined (see
+// JobHandle.Wait).
+func (db *ShardedDB) RunML(run MLRun) (ExecStats, error) {
 	h, err := db.SubmitML(context.Background(), run)
 	if err != nil {
-		return nil, err
+		return ExecStats{}, err
 	}
 	return h.Wait()
 }
@@ -747,13 +600,11 @@ func (db *ShardedDB) shardEnvs(run QueryRun) []plan.Env {
 			tracer = db.shardTracers[s]
 		}
 		envs[s] = plan.Env{
-			Mgr:        db.cluster.Kernel(s).Mgr(),
-			Pool:       db.cluster.Kernel(s).Pool(),
-			Obs:        run.Observer,
-			Tracer:     tracer,
-			Job:        id,
-			NoPushdown: run.NoPushdown,
-			NoPresize:  run.NoPresize,
+			Mgr:    db.cluster.Kernel(s).Mgr(),
+			Pool:   db.cluster.Kernel(s).Pool(),
+			Obs:    run.Observer,
+			Tracer: tracer,
+			Job:    id,
 		}
 	}
 	return envs

@@ -79,10 +79,10 @@ func TestShardedQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := h.Wait()
-	if err != nil {
+	if _, err := h.Wait(); err != nil {
 		t.Fatal(err)
 	}
+	stats := h.ShardStats()
 	if len(stats) != 3 {
 		t.Fatalf("got stats for %d shards, want 3", len(stats))
 	}
@@ -856,7 +856,7 @@ func TestShardedRetryAfterPanic(t *testing.T) {
 
 // loopShardedRun submits a never-converging distributed run over tbl's n
 // rows and waits until it has committed an iteration.
-func loopShardedRun(t *testing.T, ctx context.Context, db *ShardedDB, tbl *Table, n int) *ShardedJobHandle {
+func loopShardedRun(t *testing.T, ctx context.Context, db *ShardedDB, tbl *Table, n int) *JobHandle {
 	t.Helper()
 	subs := make([]IterativeTransaction, n)
 	for i := range subs {
@@ -872,7 +872,7 @@ func loopShardedRun(t *testing.T, ctx context.Context, db *ShardedDB, tbl *Table
 	if err != nil {
 		t.Fatal(err)
 	}
-	for h.inner.Load().ShardJob(0).Stats().Commits == 0 {
+	for h.ShardStats()[0].Commits == 0 {
 		time.Sleep(100 * time.Microsecond)
 	}
 	return h
