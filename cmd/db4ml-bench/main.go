@@ -73,7 +73,7 @@ func main() {
 		s, err := introspect.Start(introspect.Config{
 			Addr:    *httpAddr,
 			Metrics: opts.Aggregator.Snapshot,
-			Tracer:  opts.Tracer,
+			Sources: []trace.Source{{Name: "kernel", Tracer: opts.Tracer}},
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "db4ml-bench:", err)

@@ -40,6 +40,7 @@ import (
 	"db4ml/internal/obs"
 	"db4ml/internal/partition"
 	"db4ml/internal/resilience"
+	"db4ml/internal/shard"
 	"db4ml/internal/storage"
 	"db4ml/internal/table"
 	"db4ml/internal/trace"
@@ -147,6 +148,11 @@ const (
 // in-flight iterative version of a written row.
 var ErrConflict = txn.ErrConflict
 
+// ErrCrossKernelWrite is returned by the writes of a transaction Begin
+// started on a database of several kernels: it reads one cut of every
+// kernel, and cross-kernel OLTP writes are not supported.
+var ErrCrossKernelWrite = txn.ErrCrossKernelWrite
+
 // ErrClosed is returned by SubmitML and RunML after DB.Close.
 var ErrClosed = fmt.Errorf("db4ml: database closed")
 
@@ -174,38 +180,41 @@ var (
 	ErrOverloaded = resilience.ErrOverloaded
 )
 
-// DB is one database instance: a set of ML-tables sharing a transaction
-// manager, a timestamp oracle, and one persistent execution pool. The pool's
-// workers — stand-ins for the paper's core-pinned threads — start at Open
-// and serve every ML run submitted to this DB, interleaving concurrent
-// uber-transactions; Close drains and stops them.
+// DB is one database: a cluster of N >= 1 kernels (WithShards, default 1)
+// sharing one timestamp oracle, each with its own transaction manager,
+// persistent execution pool and version reclaimer. The pools' workers —
+// stand-ins for the paper's core-pinned threads — start at Open and serve
+// every ML run submitted to this DB, interleaving concurrent
+// uber-transactions; Close drains and stops them. One kernel is the
+// paper's database; more are shard-per-node scale-out behind the same
+// methods (see sharded.go).
 type DB struct {
 	supervisor
 
-	mgr  *txn.Manager
-	pool *exec.Pool
+	cluster *shard.Cluster
+	scheme  partition.Scheme
 
 	tblMu  sync.RWMutex
-	tables map[string]*Table
+	tables map[string]*ShardedTable
 
-	// reclaimer is the version garbage collector, always constructed so
-	// PruneNow works; WithVersionGC additionally runs it periodically on a
-	// pool maintenance goroutine. gcObs is its dedicated observer, non-nil
-	// only under WithDebugServer (it feeds the /metrics GC families).
-	reclaimer *gc.Reclaimer
-	gcObs     *obs.Observer
+	// reclaimers holds each kernel's version garbage collector, run by
+	// PruneNow and, under WithVersionGC, by its pool's maintenance goroutine.
+	reclaimers []*gc.Reclaimer
 
 	// dur is the durability state (WAL, checkpoint cache, crash killer),
 	// non-nil only under WithWAL. It is armed AFTER recovery replay, so
 	// replay never re-logs the records it is applying.
 	dur *durability
 
-	// Introspection state, non-nil only under WithDebugServer: a shared
-	// span tracer, the aggregator folding every run's telemetry into the
-	// /metrics totals, and the server itself.
-	tracer *trace.Tracer
-	agg    *introspect.Aggregator
-	debug  *introspect.Server
+	// Introspection state, nil without WithDebugServer: each kernel's span
+	// tracer and aggregator (/metrics is their sum), the tracer of runs'
+	// lifecycle spans (kernel 0's on one kernel, a coordinator's on a
+	// cluster), and the sources /debug/trace merges.
+	tracers  []*trace.Tracer
+	aggs     []*introspect.Aggregator
+	coTracer *trace.Tracer
+	sources  []trace.Source
+	debug    *introspect.Server
 }
 
 // Option configures Open.
@@ -321,18 +330,22 @@ func DefaultDegradation(pressure float64, batch int) int {
 	return batch
 }
 
-// Open creates an empty database and starts its worker pool. Call Close
-// when done to stop the workers.
+// Open creates an empty database of WithShards kernels (default 1) and
+// starts every kernel's worker pool. Every option applies per kernel:
+// WithWorkers sizes each pool, WithVersionGC runs each kernel's reclaimer,
+// and WithDebugServer serves one surface over all of them. Call Close when
+// done to stop the workers.
 func Open(opts ...Option) *DB {
-	var oc openConfig
+	oc := openConfig{shards: 1, shardScheme: ShardHash}
 	for _, o := range opts {
 		o(&oc)
 	}
+	n := max(oc.shards, 1)
 	cfg := exec.Config{Workers: oc.workers, Chaos: oc.chaos}
 	if oc.regions > 0 {
 		cfg.Topology = numa.NewTopology(oc.regions, cfg.Resolved().Workers)
 	}
-	pool, err := exec.NewPool(cfg)
+	cluster, err := shard.NewCluster(n, cfg)
 	if err != nil {
 		// Unreachable: NewTopology clamps regions to the worker count, so
 		// the only validated constraint always holds.
@@ -340,43 +353,36 @@ func Open(opts ...Option) *DB {
 	}
 	db := &DB{
 		supervisor: newSupervisor(&oc),
-		mgr:        txn.NewManager(),
-		tables:     make(map[string]*Table),
-		pool:       pool,
+		cluster:    cluster,
+		scheme:     oc.shardScheme,
+		tables:     make(map[string]*ShardedTable),
+		reclaimers: make([]*gc.Reclaimer, n),
+		tracers:    make([]*trace.Tracer, n),
+		aggs:       make([]*introspect.Aggregator, n),
 	}
-	db.reclaimer = gc.New(db.mgr, db.tableList)
-	if oc.debugAddr != "" {
-		db.tracer = trace.New(cfg.Resolved().Workers, 0)
-		db.agg = introspect.NewAggregator()
-		srv, err := introspect.Start(introspect.Config{
-			Addr:    oc.debugAddr,
-			Metrics: db.agg.Snapshot,
-			Jobs:    db.runs.jobs,
-			Queries: db.runs.queryInfos,
-			Tracer:  db.tracer,
+	for s := range db.reclaimers {
+		db.reclaimers[s] = gc.New(cluster.Kernel(s).Mgr(), func() (locals []*table.Table) {
+			for _, st := range db.tableSet() {
+				locals = append(locals, st.Local(s))
+			}
+			return locals
 		})
-		if err != nil {
-			pool.Close()
-			panic("db4ml: " + err.Error())
-		}
-		db.debug = srv
-		// The GC's own observer stays attached for the server's lifetime so
-		// /metrics carries versions_pruned/gc_passes and the gc_pause
-		// histogram alongside the per-run telemetry.
-		db.gcObs = obs.New()
-		db.reclaimer.SetObserver(db.gcObs)
-		db.reclaimer.SetTracer(db.tracer)
-		db.agg.Attach(db.gcObs)
+	}
+	if oc.debugAddr != "" {
+		db.serveDebug(oc.debugAddr, cfg.Resolved().Workers)
 	}
 	if oc.gcInterval > 0 {
-		// Stopped by pool.Close (DB.Close): the maintenance goroutine is
-		// pool-owned.
-		pool.Maintain(oc.gcInterval, func() { db.reclaimer.Pass() })
+		// Stopped by the pools' Close (DB.Close): the maintenance goroutines
+		// are pool-owned.
+		for s, r := range db.reclaimers {
+			cluster.Kernel(s).Pool().Maintain(oc.gcInterval, func() { r.Pass() })
+		}
 	}
 	if oc.walDir != "" {
 		// Recovery runs before anything is served: checkpoint restore, WAL
-		// tail replay, then the log is armed for new appends.
-		dur, err := recoverKernel(db, oc, db.agg, db.tracer)
+		// tail replay, then the log is armed for new appends. Durability
+		// telemetry is database-wide; it lives on kernel 0's aggregator.
+		dur, err := recoverKernel(db, oc, db.aggs[0], db.coTracer)
 		if err != nil {
 			db.Close()
 			panic("db4ml: recovery: " + err.Error())
@@ -386,29 +392,66 @@ func Open(opts ...Option) *DB {
 	return db
 }
 
-// tableList snapshots the current table set.
-func (db *DB) tableList() []*table.Table {
-	db.tblMu.RLock()
-	defer db.tblMu.RUnlock()
-	out := make([]*table.Table, 0, len(db.tables))
-	for _, t := range db.tables {
-		out = append(out, t)
+// serveDebug starts the debug server: one tracer and one aggregator per
+// kernel — every kernel's reclaimer reports into its own, so /metrics
+// carries versions_pruned/gc_passes and the gc_pause histogram beside the
+// runs' telemetry — /metrics their sum, and /debug/trace one process per
+// trace source.
+func (db *DB) serveDebug(addr string, workers int) {
+	for s, r := range db.reclaimers {
+		db.tracers[s] = trace.New(workers, 0)
+		db.aggs[s] = introspect.NewAggregator()
+		gcObs := obs.New()
+		r.SetObserver(gcObs)
+		r.SetTracer(db.tracers[s])
+		db.aggs[s].Attach(gcObs)
 	}
-	return out
+	db.coTracer = db.tracers[0]
+	db.sources = []trace.Source{{Name: "kernel", Tracer: db.coTracer}}
+	if len(db.tracers) > 1 {
+		// A cluster's lifecycle spans (uber-begin, per-shard prepare, 2PC
+		// commit windows) get a tracer of their own beside the shards'.
+		db.coTracer = trace.New(1, 0)
+		db.sources = []trace.Source{{Name: "coordinator", Tracer: db.coTracer}}
+		for s, t := range db.tracers {
+			db.sources = append(db.sources, trace.Source{Name: fmt.Sprintf("shard%d", s), Tracer: t})
+		}
+	}
+	srv, err := introspect.Start(introspect.Config{
+		Addr:    addr,
+		Metrics: func() obs.Snapshot { return introspect.Sum(db.aggs) },
+		Jobs:    db.runs.jobs,
+		Queries: db.runs.queryInfos,
+		Shards:  db.shardInfos,
+		Sources: db.sources,
+	})
+	if err != nil {
+		db.cluster.Close()
+		panic("db4ml: " + err.Error())
+	}
+	db.debug = srv
 }
 
-// PruneNow runs one version-GC pass synchronously — all tables, watermark
-// clamped to the oldest active snapshot — and returns the number of
-// versions reclaimed. Useful in tests and for databases opened without
-// WithVersionGC.
+// PruneNow runs one version-GC pass on every kernel synchronously — each
+// clamped to its own kernel's oldest active snapshot — and returns the
+// number of versions reclaimed. Useful in tests and for databases opened
+// without WithVersionGC.
 func (db *DB) PruneNow() int {
-	return db.reclaimer.Pass().Pruned
+	total := 0
+	for _, r := range db.reclaimers {
+		total += r.Pass().Pruned
+	}
+	return total
 }
 
-// GCStats reports the reclaimer's lifetime totals: completed passes and
-// versions reclaimed.
+// GCStats reports the reclaimers' lifetime totals summed over every
+// kernel: completed passes and versions reclaimed.
 func (db *DB) GCStats() (passes, pruned uint64) {
-	return db.reclaimer.Passes(), db.reclaimer.TotalPruned()
+	for _, r := range db.reclaimers {
+		passes += r.Passes()
+		pruned += r.TotalPruned()
+	}
+	return passes, pruned
 }
 
 // DebugAddr returns the debug server's bound address (host:port), or "" when
@@ -420,14 +463,15 @@ func (db *DB) DebugAddr() string {
 	return db.debug.Addr()
 }
 
-// Close drains the in-flight ML jobs — including each uber-transaction's
-// final commit or abort — and stops the worker pool. Further SubmitML/RunML
-// calls fail with ErrClosed; OLTP transactions and reads keep working.
-// Close is idempotent, and every concurrent Close waits for the full drain
-// rather than returning early while another Close is still draining.
+// Close drains the in-flight ML jobs and stops every kernel's worker pool,
+// then waits for every handle — including each uber-transaction's final
+// commit or abort; a run waiting out a retry backoff starts no further
+// attempt and resolves with ErrClosed. Further SubmitML/RunML calls fail
+// with ErrClosed; OLTP transactions and reads keep working. Close is
+// idempotent, and every concurrent Close waits for the full drain.
 func (db *DB) Close() error {
 	db.stopAdmitting()
-	db.pool.Close()
+	db.cluster.Close()
 	db.handles.Wait()
 	if db.dur != nil {
 		// After the drain no commit is mid-append; Close flushes and fsyncs
@@ -440,15 +484,22 @@ func (db *DB) Close() error {
 	return nil
 }
 
-// CreateTable adds a new, empty ML-table.
+// CreateTable adds a new, empty ML-table and returns it. On a cluster the
+// returned table is the global view: row ids are global, reads and scans
+// resolve the owning shards' version chains directly, and placement follows
+// the database's shard scheme (WithShardScheme).
 func (db *DB) CreateTable(name string, cols ...Column) (*Table, error) {
-	return db.createTable(name, cols, db.dur)
+	st, err := db.createTable(name, cols, db.dur)
+	if err != nil {
+		return nil, err
+	}
+	return st.View(), nil
 }
 
 // createTable registers a new table. Its creation is logged through d (nil
 // during recovery) before registering: if the append fails (crash, I/O
 // error) the table never existed, matching what recovery will reconstruct.
-func (db *DB) createTable(name string, cols []Column, d *durability) (*Table, error) {
+func (db *DB) createTable(name string, cols []Column, d *durability) (*ShardedTable, error) {
 	schema, err := table.NewSchema(cols...)
 	if err != nil {
 		return nil, err
@@ -461,73 +512,79 @@ func (db *DB) createTable(name string, cols []Column, d *durability) (*Table, er
 	if err := d.appendCreate(name, cols); err != nil {
 		return nil, err
 	}
-	t := table.New(name, schema)
-	db.tables[name] = t
-	return t, nil
+	st := shard.NewTable(name, schema, shard.NewRouter(db.scheme, db.cluster.Shards(), 0))
+	db.tables[name] = st
+	return st, nil
 }
 
-// loadAt appends rows to tbl in one publish at ts (recovery's bulk load):
-// one bulk append that takes the decoded payloads over.
-func (db *DB) loadAt(tbl *Table, ts Timestamp, rows []Payload) (err error) {
-	db.publishAt(ts, func(ts Timestamp) { _, err = tbl.AppendOwned(ts, rows) })
-	return err
+// tableSet snapshots the registered tables.
+func (db *DB) tableSet() []*ShardedTable {
+	db.tblMu.RLock()
+	defer db.tblMu.RUnlock()
+	out := make([]*ShardedTable, 0, len(db.tables))
+	for _, st := range db.tables {
+		out = append(out, st)
+	}
+	return out
 }
 
-// appendRows appends rows to tbl at ts, stopping at the first error.
-func appendRows(tbl *Table, ts Timestamp, rows []Payload) error {
-	for _, p := range rows {
-		if _, err := tbl.Append(ts, p); err != nil {
-			return err
-		}
+// managers lists every kernel's transaction manager in kernel order.
+func (db *DB) managers() []*txn.Manager { return db.cluster.Managers() }
+
+// Table returns a table by name, or nil.
+func (db *DB) Table(name string) *Table {
+	if st := db.ShardedTable(name); st != nil {
+		return st.View()
 	}
 	return nil
 }
 
-// publishAt runs publish inside one publish at ts.
-func (db *DB) publishAt(ts Timestamp, publish func(ts Timestamp)) {
-	db.mgr.Prepare().CommitAt(ts, publish)
+// Begin starts an OLTP transaction. On one kernel it reads the most recent
+// stable snapshot and may write. On a cluster it reads one cross-kernel
+// cut — a timestamp at which every kernel is fully published, pinned on
+// every kernel until Commit or Abort — through the tables' views, and its
+// writes fail with ErrCrossKernelWrite: write through the owning kernel's
+// manager (Cluster().Kernel(i).Mgr().Begin()) on its local table.
+func (db *DB) Begin() *Txn {
+	if mgrs := db.managers(); len(mgrs) > 1 {
+		return txn.BeginCut(mgrs)
+	}
+	return db.Manager().Begin()
 }
 
-func (db *DB) managers() []*txn.Manager { return []*txn.Manager{db.mgr} }
-
-func (db *DB) mutations(tbl *Table) uint64 { return tbl.Mutations() }
-
-// Table returns a table by name, or nil.
-func (db *DB) Table(name string) *Table {
-	db.tblMu.RLock()
-	defer db.tblMu.RUnlock()
-	return db.tables[name]
-}
-
-// Begin starts an OLTP transaction on the most recent stable snapshot.
-func (db *DB) Begin() *Txn { return db.mgr.Begin() }
-
-// BulkLoad appends rows to tbl in one atomic publish: either every row is
-// visible (all with the same timestamp) or, on error, the load stops and
-// the loaded prefix remains — use fresh tables for loading.
+// BulkLoad appends rows to tbl in one atomic publish at one timestamp on
+// every kernel: either every row is visible or, on error, the load stops
+// and the loaded prefix remains — use fresh tables for loading. On a
+// cluster rows are routed to their owning shards.
 func (db *DB) BulkLoad(tbl *Table, rows []Payload) error {
-	var err error
-	var firstRow int
-	ts := db.mgr.PublishAt(func(ts Timestamp) {
-		firstRow = tbl.NumRows()
-		err = appendRows(tbl, ts, rows)
-	})
+	st, err := db.shardedOf(tbl)
+	if err != nil {
+		return err
+	}
+	ts, firstRow, err := st.Load(db.cluster, rows)
 	if err != nil {
 		return err
 	}
 	// Publish-then-log: the load is visible in memory before the append; an
 	// append failure means it was never durable (and never acked).
-	return db.dur.appendLoad(tbl.Name(), ts, firstRow, rows)
+	return db.dur.appendLoad(st.Name(), ts, firstRow, rows)
 }
 
-// Stable returns the newest fully published commit timestamp; reads at
-// Stable observe a consistent snapshot.
-func (db *DB) Stable() Timestamp { return db.mgr.Stable() }
+// Stable returns the newest timestamp at which every kernel is fully
+// published; reads at Stable observe a consistent snapshot. A kernel may
+// be ahead of it.
+func (db *DB) Stable() Timestamp {
+	ts := db.Manager().Stable()
+	for _, m := range db.managers()[1:] {
+		ts = min(ts, m.Stable())
+	}
+	return ts
+}
 
-// Manager exposes the underlying transaction manager for advanced uses
-// (the experiment harness and the internal ML implementations take it
-// directly).
-func (db *DB) Manager() *txn.Manager { return db.mgr }
+// Manager exposes kernel 0's transaction manager — on one kernel, the
+// database's — for advanced uses (the experiment harness and the internal
+// ML implementations take it directly).
+func (db *DB) Manager() *txn.Manager { return db.cluster.Kernel(0).Mgr() }
 
 // Attachment names one table (and optionally a row subset) an ML run will
 // update. Versions overrides the per-record snapshot-slot count; 0 uses
@@ -567,8 +624,8 @@ type MLRun struct {
 	// RegionOf routes sub-transaction i to a NUMA region; nil spreads
 	// round-robin.
 	RegionOf func(i int) int
-	// ShardOf routes sub-transaction i to a shard (sharded databases only;
-	// single-kernel runs ignore it). nil uses the default placement: sub i
+	// ShardOf routes sub-transaction i to a shard (clusters only; one
+	// kernel ignores it). nil uses the default placement: sub i
 	// runs on the shard owning global row i of the run's first attached
 	// table — the convention of the built-in algorithms, whose sub i owns
 	// row i.
@@ -598,15 +655,15 @@ type MLRun struct {
 	Chaos FaultInjector
 	// Recorder, when non-nil, records this run's isolation-relevant
 	// history for post-hoc invariant checking (see internal/check). nil
-	// keeps recording fully disabled at zero cost. Single-kernel runs
-	// only: a sharded database's SubmitML rejects a run with a Recorder,
-	// since each shard numbers its sub-transactions from zero (internal/check
-	// records sharded runs through exec.StartUber, one recorder per shard).
+	// keeps recording fully disabled at zero cost. One kernel only: a
+	// cluster's SubmitML rejects a run with a Recorder, since each shard
+	// numbers its sub-transactions from zero (internal/check records
+	// distributed runs through exec.StartUber, one recorder per shard).
 	Recorder RunRecorder
 }
 
 // JobHandle tracks one in-flight ML run submitted with SubmitML, on one
-// kernel or across a sharded database's kernels. Under a retry policy one
+// kernel or across several. Under a retry policy one
 // handle spans every attempt: the run is swapped on resubmission and Wait
 // resolves only when the final attempt committed or failed terminally.
 type JobHandle struct {
@@ -617,8 +674,8 @@ type JobHandle struct {
 	stats     ExecStats
 }
 
-// CommitTS returns the uber-transaction's commit timestamp — on a sharded
-// database the one timestamp every shard published at: zero until the job
+// CommitTS returns the uber-transaction's commit timestamp — on several
+// kernels the one timestamp every kernel published at: zero until the job
 // resolved, and zero forever if it aborted or was never acknowledged (a
 // crashed run may have published in the dying process's memory, but an
 // unacknowledged commit has no timestamp the caller may rely on).
@@ -628,7 +685,7 @@ func (h *JobHandle) CommitTS() Timestamp { return h.commitTS() }
 // commit or abort, and any retries) and returns its final stats. Stats are
 // meaningful even on error: a cancelled job reports the work done before
 // the cancellation took effect; a retried job reports its last attempt. On
-// a sharded database they combine every shard's (exec.SumStats); see
+// several kernels they combine every kernel's (exec.SumStats); see
 // ShardStats for the breakdown.
 func (h *JobHandle) Wait() (ExecStats, error) {
 	<-h.done
@@ -669,23 +726,21 @@ func (h *JobHandle) ShardSnapshots() []TelemetrySnapshot {
 	return out
 }
 
-// mlRun is one ML run as a facade lays it out on its kernels: the
+// mlRun is one ML run as the database lays it out on its kernels: the
 // uber-transaction with one part per kernel, each part's /metrics
 // aggregator, and the tables its commit logs.
 type mlRun struct {
 	spec   exec.UberSpec
 	aggs   []*introspect.Aggregator // index = part; nil aggregates nothing
 	tables []*table.Table
-	// sharded tags each /debug/jobs row with its part's shard id.
-	sharded bool
 }
 
 // submitML starts an admitted run and hands it to the retry loop, which
-// owns its slot from here on. It is the one ML sequence of both facades:
-// every attempt starts the uber-transaction, waits for it and commits or
-// aborts it (exec.UberRun.Finish), logs the commit through dur, and only
-// then acknowledges it. Cancelling the handle cancels the attempt's jobs.
-func (s *supervisor) submitML(ctx context.Context, set settings, dur *durability, m mlRun) (*JobHandle, error) {
+// owns its slot from here on. It is the one ML sequence: every attempt
+// starts the uber-transaction, waits for it and commits or aborts it
+// (exec.UberRun.Finish), logs the commit through db.dur, and only then
+// acknowledges it. Cancelling the handle cancels the attempt's jobs.
+func (db *DB) submitML(ctx context.Context, set settings, m mlRun) (*JobHandle, error) {
 	start := func() (*exec.UberRun, error) {
 		r, err := exec.StartUber(m.spec)
 		if errors.Is(err, exec.ErrPoolClosed) {
@@ -695,7 +750,7 @@ func (s *supervisor) submitML(ctx context.Context, set settings, dur *durability
 	}
 	r, err := start()
 	if err != nil {
-		s.release()
+		db.release()
 		return nil, err
 	}
 	h := &JobHandle{started: time.Now()}
@@ -708,7 +763,7 @@ func (s *supervisor) submitML(ctx context.Context, set settings, dur *durability
 			m.aggs[i].Attach(p.Job.Observer)
 		}
 	}
-	s.runs.track(&h.handleCore, func(state string) []introspect.JobInfo {
+	db.runs.track(&h.handleCore, func(state string) []introspect.JobInfo {
 		// One row per job, so the shards of one run read side by side; all
 		// rows share its correlation id.
 		r := h.run.Load()
@@ -719,14 +774,14 @@ func (s *supervisor) submitML(ctx context.Context, set settings, dur *durability
 			}
 			info := introspect.NewJobInfo(r.TraceID(), j.Label(), state,
 				h.Attempts(), j.Live(), j.Total(), j.Started(), set.deadline)
-			if m.sharded {
+			if len(m.spec.Parts) > 1 {
 				info.Shard = &i
 			}
 			rows = append(rows, info)
 		}
 		return rows
 	})
-	go s.supervise(&h.handleCore, attempt{
+	go db.supervise(&h.handleCore, attempt{
 		policy: set.policy,
 		token:  r.TraceID(),
 		obs:    o0,
@@ -740,13 +795,13 @@ func (s *supervisor) submitML(ctx context.Context, set settings, dur *durability
 			if errors.Is(err, chaos.ErrCrashed) {
 				// A kill-point fired: the "process" is dead. Freeze the WAL
 				// and resolve terminally — recovery, not retry, follows.
-				dur.freeze()
+				db.dur.freeze()
 				return false, err
 			}
 			if err != nil {
 				return r.Retryable(), err
 			}
-			if err := dur.appendCommit(ts, m.tables, r.TraceID()); err != nil {
+			if err := db.dur.appendCommit(ts, m.tables, r.TraceID()); err != nil {
 				// The append or its fsync failed — the commit may not
 				// survive a restart, so it must not be acknowledged.
 				return false, err
@@ -768,7 +823,7 @@ func (s *supervisor) submitML(ctx context.Context, set settings, dur *durability
 			return next.TraceID(), nil
 		},
 		settle: func() {
-			s.runs.settle(&h.handleCore)
+			db.runs.settle(&h.handleCore)
 			for i, o := range h.observers {
 				m.aggs[i].Complete(o)
 			}
@@ -782,40 +837,87 @@ func subsOf(subs []IterativeTransaction) func(storage.Timestamp) ([]itx.Sub, fun
 	return func(storage.Timestamp) ([]itx.Sub, func(int) int, error) { return subs, nil, nil }
 }
 
-// SubmitML starts one ML algorithm as an uber-transaction on the
-// database's shared worker pool and returns without waiting: it installs
-// iterative records on the attached tables, then drives the
-// sub-transactions to convergence concurrently with any other in-flight
-// jobs. On success the result is atomically published; on error or
-// cancellation the uber-transaction is aborted and the tables are
-// untouched. Cancelling ctx cancels the job (Wait then reports ctx's
-// error).
+// SubmitML starts one ML algorithm as an uber-transaction and returns
+// without waiting: it installs iterative records on the attached tables,
+// then drives the sub-transactions to convergence on the worker pools
+// concurrently with any other in-flight jobs. On success the result is
+// atomically published; on error or cancellation the uber-transaction is
+// aborted and the tables are untouched. Cancelling ctx cancels the job
+// (Wait then reports ctx's error). On a cluster the uber-transaction spans
+// every shard (see layout): all are begun and attached before any
+// executes, the result publishes on every shard at one timestamp, and any
+// shard's failure aborts it everywhere.
 func (db *DB) SubmitML(ctx context.Context, run MLRun) (*JobHandle, error) {
 	if err := db.admit(ctx, run.Observer); err != nil {
 		return nil, err
 	}
 	set := db.settings(run)
-	cfg := set.jobConfig(run)
-	if cfg.Tracer == nil {
-		cfg.Tracer = db.tracer
+	m, err := db.layout(run, set)
+	if err != nil {
+		db.release()
+		return nil, err
 	}
-	if db.agg != nil && cfg.Observer == nil {
-		// The debug server aggregates across runs; give uninstrumented runs
-		// an observer so /metrics reflects them too.
-		cfg.Observer = obs.New()
+	return db.submitML(ctx, set, m)
+}
+
+// layout lays run out on the kernels: one part per kernel, each with its
+// own job configuration and observer. One kernel runs the attachments and
+// sub-transactions as given. A cluster splits them by shard (split: sub i
+// runs on shard MLRun.ShardOf(i)), suffixes each part's label with its
+// shard, and under the synchronous level ties the shards' barriers into one
+// global rendezvous, so "reads see exactly the previous iteration" holds
+// across shards too. The commit logs the attached tables: a view's chains
+// are the locals' chains, so after-images read identically.
+func (db *DB) layout(run MLRun, set settings) (mlRun, error) {
+	n := db.cluster.Shards()
+	var attach [][]Attachment
+	var subs [][]IterativeTransaction
+	if n > 1 {
+		var err error
+		if attach, subs, err = db.split(run); err != nil {
+			return mlRun{}, err
+		}
 	}
-	return db.submitML(ctx, set, db.dur, mlRun{
+	tracer := run.Tracer
+	if tracer == nil {
+		tracer = db.coTracer
+	}
+	m := mlRun{
 		spec: exec.UberSpec{
-			Isolation: run.Isolation,
-			Parts: []exec.UberPart{{
-				Pool: db.pool, Mgr: db.mgr, Attach: run.Attach, Build: subsOf(run.Subs), Job: cfg,
-			}},
-			Crash:  db.dur.killer(),
-			Tracer: cfg.Tracer,
+			Isolation:     run.Isolation,
+			Parts:         make([]exec.UberPart, n),
+			GlobalBarrier: n > 1 && run.Isolation.Level == Synchronous,
+			Crash:         db.dur.killer(),
+			Tracer:        tracer,
 		},
-		aggs:   []*introspect.Aggregator{db.agg},
+		aggs:   db.aggs,
 		tables: distinctTables(run.Attach),
-	})
+	}
+	for s := range m.spec.Parts {
+		cfg := set.jobConfig(run)
+		if cfg.Tracer == nil {
+			cfg.Tracer = db.tracers[s]
+		}
+		if s > 0 || cfg.Observer == nil {
+			// Part 0 reports to the caller's observer. Every other part of an
+			// instrumented run, and every part of a run under the debug
+			// server, gets its own, so /metrics and /debug/shards see it.
+			cfg.Observer = nil
+			if run.Observer != nil || db.aggs[s] != nil {
+				cfg.Observer = obs.New()
+			}
+		}
+		att, sub := run.Attach, run.Subs
+		if n > 1 {
+			att, sub = attach[s], subs[s]
+			if run.Label != "" {
+				cfg.Label = fmt.Sprintf("%s@s%d", run.Label, s)
+			}
+		}
+		k := db.cluster.Kernel(s)
+		m.spec.Parts[s] = exec.UberPart{Pool: k.Pool(), Mgr: k.Mgr(), Attach: att, Build: subsOf(sub), Job: cfg}
+	}
+	return m, nil
 }
 
 // RunML executes one ML algorithm as an uber-transaction and blocks until

@@ -2,8 +2,7 @@ package db4ml
 
 // This file is the durability facade: WithWAL arms a write-ahead log of
 // uber-commit redo records (internal/wal), Checkpoint takes fuzzy
-// incremental checkpoints (internal/checkpoint), and Open/OpenSharded
-// recover state from the newest valid checkpoint plus the WAL tail before
+// incremental checkpoints (internal/checkpoint), and Open recovers state from the newest valid checkpoint plus the WAL tail before
 // serving traffic.
 //
 // Durability ordering is publish-then-log: a commit becomes visible in
@@ -94,7 +93,7 @@ func NewCrashKiller(p CrashPoint) *CrashKiller { return chaos.NewKiller(p) }
 
 // WithWAL enables durability: every table creation, bulk load, and
 // uber-commit is logged to an append-only write-ahead log under dir, and
-// Open/OpenSharded recover the database from the newest valid checkpoint in
+// Open recovers the database from the newest valid checkpoint in
 // dir plus the WAL tail. Torn log tails (a crash mid-append) are truncated,
 // not fatal.
 func WithWAL(dir string) Option { return func(c *openConfig) { c.walDir = dir } }
@@ -107,9 +106,9 @@ func WithWALSync(p WALSyncPolicy) Option { return func(c *openConfig) { c.walPol
 // the crash trials of internal/check drive the kill-point matrix through it.
 func WithCrashPoints(k *CrashKiller) Option { return func(c *openConfig) { c.crash = k } }
 
-// durability is the shared durable-state machinery behind a DB or ShardedDB:
-// the open WAL, the crash killer, the checkpoint directory and section
-// cache, and the observer/tracer the subsystem reports into.
+// durability is the durable-state machinery behind a DB: the open WAL, the
+// crash killer, the checkpoint directory and section cache, and the
+// observer/tracer the subsystem reports into.
 type durability struct {
 	log    *wal.Log
 	dir    string
@@ -224,31 +223,7 @@ func distinctTables(attach []Attachment) []*table.Table {
 	return out
 }
 
-// durableKernel is what recovery and checkpoints need from a facade; DB and
-// ShardedDB implement it. Tables are the ones the facade hands out: a
-// sharded table is addressed by its global view, whose version chains are
-// the owning shards' chains.
-type durableKernel interface {
-	// createTable registers a new, empty table, logging its creation
-	// through d first unless d is nil.
-	createTable(name string, cols []Column, d *durability) (*Table, error)
-	// Table returns a table by name, or nil.
-	Table(name string) *Table
-	// tableList snapshots the table set.
-	tableList() []*Table
-	// mutations is tbl's checkpoint change detector (Table.Mutations).
-	mutations(tbl *Table) uint64
-	// loadAt appends rows to tbl in one publish at ts, taking ownership
-	// of the payloads; a nil row is an absent slot and gets a tombstone.
-	loadAt(tbl *Table, ts Timestamp, rows []Payload) error
-	// publishAt runs publish once, inside one publish at ts on every
-	// manager; ts must be at or above every stable watermark.
-	publishAt(ts Timestamp, publish func(ts Timestamp))
-	// managers lists the transaction managers in shard order.
-	managers() []*txn.Manager
-}
-
-// recoverKernel rebuilds k from the newest valid checkpoint in oc.walDir
+// recoverKernel rebuilds db from the newest valid checkpoint in oc.walDir
 // plus the WAL tail, and returns the armed durability state: the
 // checkpoint's tables are recreated with their rows published at its
 // timestamp and their absent slots tombstoned, the WAL is opened
@@ -257,8 +232,10 @@ type durableKernel interface {
 // to the newest replayed timestamp. Durability is armed only after replay,
 // so replay never re-logs what it applies. agg, when non-nil, receives the
 // WAL and recovery telemetry; tracer receives the replay spans. Runs before
-// k serves anything.
-func recoverKernel(k durableKernel, oc openConfig, agg *introspect.Aggregator, tracer *trace.Tracer) (_ *durability, err error) {
+// db serves anything. Tables are the ones CreateTable hands out: on a
+// cluster a table is addressed by its global view, whose version chains
+// are the owning shards' chains.
+func recoverKernel(db *DB, oc openConfig, agg *introspect.Aggregator, tracer *trace.Tracer) (_ *durability, err error) {
 	var ckpt checkpoint.Meta
 	loaded, err := checkpoint.LatestValid(oc.walDir)
 	if err != nil {
@@ -267,16 +244,16 @@ func recoverKernel(k durableKernel, oc openConfig, agg *introspect.Aggregator, t
 	if loaded != nil {
 		ckpt = loaded.Meta
 		for _, dec := range loaded.Tables {
-			tbl, err := k.createTable(dec.Name, dec.Cols, nil)
+			st, err := db.createTable(dec.Name, dec.Cols, nil)
 			if err != nil {
 				return nil, err
 			}
 			if slots := dec.Slots(); len(slots) > 0 {
-				if err := k.loadAt(tbl, ckpt.TS, slots); err != nil {
+				if err := st.LoadAt(db.cluster, ckpt.TS, slots); err != nil {
 					return nil, err
 				}
 			}
-			if err := dec.CreateIndexes(tbl); err != nil {
+			if err := dec.CreateIndexes(st.View()); err != nil {
 				return nil, err
 			}
 		}
@@ -316,7 +293,7 @@ func recoverKernel(k durableKernel, oc openConfig, agg *introspect.Aggregator, t
 	replayed := 0
 	for _, rec := range replayOrder(d.log.Recovered(), ckpt.LSN, ckpt.TS) {
 		replayAt := tracer.Now()
-		applied, err := replay(k, rec, &arena)
+		applied, err := replay(db, rec, &arena)
 		if err != nil {
 			return nil, err
 		}
@@ -327,7 +304,7 @@ func recoverKernel(k durableKernel, oc openConfig, agg *introspect.Aggregator, t
 		replayed++
 		tracer.Span(0, trace.KindReplay, 0, int64(rec.LSN), replayAt, tracer.Now()-replayAt)
 	}
-	for _, m := range k.managers() {
+	for _, m := range db.managers() {
 		m.RestoreStable(maxTS)
 	}
 	if d.obs != nil && replayed > 0 {
@@ -363,7 +340,7 @@ func replayOrder(recs []*wal.Record, ckptLSN uint64, ckptTS Timestamp) []*wal.Re
 	return out
 }
 
-// replay applies one WAL record to k at its original timestamp and reports
+// replay applies one WAL record to db at its original timestamp and reports
 // whether it applied anything. Every kind is idempotent: creations skip
 // existing tables and loads skip the rows already present — both then
 // report false, so recovery neither counts nor spans them — and commits
@@ -371,21 +348,21 @@ func replayOrder(recs []*wal.Record, ckptLSN uint64, ckptTS Timestamp) []*wal.Re
 // table's end (an unacknowledged concurrent load was lost in the crash)
 // tombstones the gap, so its rows land at their logged ids. Commit
 // versions come from arena.
-func replay(k durableKernel, rec *wal.Record, arena *storage.RecordArena) (bool, error) {
+func replay(db *DB, rec *wal.Record, arena *storage.RecordArena) (bool, error) {
 	switch rec.Kind {
 	case wal.KindCreateTable:
-		if k.Table(rec.Table) != nil {
+		if db.Table(rec.Table) != nil {
 			return false, nil
 		}
-		_, err := k.createTable(rec.Table, rec.Cols, nil)
+		_, err := db.createTable(rec.Table, rec.Cols, nil)
 		return true, err
 	case wal.KindLoad:
-		tbl := k.Table(rec.Table)
-		if tbl == nil {
+		st := db.ShardedTable(rec.Table)
+		if st == nil {
 			return false, fmt.Errorf("load record for unknown table %q", rec.Table)
 		}
 		rows := rec.Rows
-		switch have := uint64(tbl.NumRows()); {
+		switch have := uint64(st.NumRows()); {
 		case have > rec.FirstRow:
 			rows = rows[min(have-rec.FirstRow, uint64(len(rows))):]
 		case have < rec.FirstRow && len(rows) > 0:
@@ -395,14 +372,21 @@ func replay(k durableKernel, rec *wal.Record, arena *storage.RecordArena) (bool,
 		if len(rows) == 0 {
 			return false, nil
 		}
-		return true, k.loadAt(tbl, rec.TS, rows)
+		return true, st.LoadAt(db.cluster, rec.TS, rows)
 	case wal.KindCommit:
-		k.publishAt(rec.TS, func(ts Timestamp) {
+		// One publish at the record's timestamp on every kernel; installing
+		// through a view on kernel 0 covers them all, because a view's
+		// chains are the owning kernels' chains.
+		_ = db.cluster.PublishAllAt(rec.TS, func(s int, ts Timestamp) error {
+			if s > 0 {
+				return nil
+			}
 			for _, tu := range rec.Tables {
-				if tbl := k.Table(tu.Table); tbl != nil {
+				if tbl := db.Table(tu.Table); tbl != nil {
 					installReplay(tbl, tu, ts, arena)
 				}
 			}
+			return nil
 		})
 	}
 	return true, nil
@@ -432,35 +416,13 @@ func installReplay(tbl *table.Table, tu wal.TableUpdate, ts Timestamp, arena *st
 	}
 }
 
-// cut pins one timestamp at which every manager is fully published and
-// returns it; the caller unpins it on each manager. With every commit lock
-// held — taken in shard order, the coordinator's own order, so the two
-// cannot deadlock — no publish is in flight anywhere, so the shared
-// oracle's current value is such a timestamp. On one manager it is the
-// stable watermark PinSnapshot would pin. Abort releases the locks without
-// publishing; the pins keep each manager's GC above the cut.
-func cut(mgrs []*txn.Manager) Timestamp {
-	preps := make([]*txn.Prepared, len(mgrs))
-	for i, m := range mgrs {
-		preps[i] = m.Prepare()
-	}
-	ts := mgrs[0].Oracle().Current()
-	for _, m := range mgrs {
-		m.PinAt(ts)
-	}
-	for _, p := range preps {
-		p.Abort()
-	}
-	return ts
-}
-
-// checkpoint takes one fuzzy checkpoint of k: it rolls the WAL, pins one
-// consistent cut, writes every table's snapshot at the cut to a new durable
+// checkpoint takes one fuzzy checkpoint of db: it rolls the WAL, pins one
+// consistent cut (txn.Cut), writes every table's snapshot at the cut to a new durable
 // checkpoint file, and truncates the WAL below the roll point. Workers never
 // stall — commits wait out only the cut itself — and a table whose mutation
 // counter has not moved since the previous checkpoint reuses its encoded
 // section without a re-scan.
-func (d *durability) checkpoint(k durableKernel) error {
+func (d *durability) checkpoint(db *DB) error {
 	if d == nil {
 		return fmt.Errorf("db4ml: checkpointing requires WithWAL")
 	}
@@ -474,9 +436,9 @@ func (d *durability) checkpoint(k durableKernel) error {
 		return err
 	}
 	meta := checkpoint.Meta{LSN: d.log.NextLSN()}
-	mgrs := k.managers()
+	mgrs := db.managers()
 	pinStart := time.Now()
-	meta.TS = cut(mgrs)
+	meta.TS = txn.Cut(mgrs)
 	pause := time.Since(pinStart)
 	defer func() {
 		for _, m := range mgrs {
@@ -486,7 +448,7 @@ func (d *durability) checkpoint(k durableKernel) error {
 
 	ckptStart := time.Now()
 	ckptAt := d.tracer.Now()
-	tables := k.tableList()
+	tables := db.tableSet()
 	sort.Slice(tables, func(i, j int) bool { return tables[i].Name() < tables[j].Name() })
 	sections := make([][]byte, len(tables))
 	var reused uint64
@@ -495,13 +457,13 @@ func (d *durability) checkpoint(k durableKernel) error {
 		// Counter read after the pin: if it matches the cached value, no
 		// publish happened since that section was encoded, so the snapshot
 		// at this later pinned timestamp is bit-identical.
-		muts := k.mutations(tbl)
+		muts := tbl.Mutations()
 		var spanArg int64 // 1 = cached section reused
 		if c, ok := d.cache[tbl.Name()]; ok && c.muts == muts {
 			sections[i], spanArg = c.bytes, 1
 			reused++
 		} else {
-			sections[i] = checkpoint.EncodeTable(tbl, meta.TS)
+			sections[i] = checkpoint.EncodeTable(tbl.View(), meta.TS)
 			d.cache[tbl.Name()] = ckptSection{muts: muts, bytes: sections[i]}
 		}
 		d.tracer.Span(0, trace.KindCkptSection, 0, spanArg, secAt, d.tracer.Now()-secAt)
@@ -538,11 +500,6 @@ func (d *durability) checkpoint(k durableKernel) error {
 	return nil
 }
 
-// Checkpoint takes one fuzzy checkpoint now at the stable snapshot: no
-// worker stalls, and the WAL is truncated below it. Requires WithWAL.
+// Checkpoint takes one fuzzy checkpoint now at one cut of every kernel:
+// no worker stalls, and the WAL is truncated below it. Requires WithWAL.
 func (db *DB) Checkpoint() error { return db.dur.checkpoint(db) }
-
-// Checkpoint takes one fuzzy checkpoint of the sharded database now at a
-// cross-shard consistent cut: no worker stalls, and the WAL is truncated
-// below it. Requires WithWAL.
-func (db *ShardedDB) Checkpoint() error { return db.dur.checkpoint(db) }

@@ -85,10 +85,6 @@ func mlRunner(db *DB) func(MLRun) error {
 	return func(r MLRun) error { _, err := db.RunML(r); return err }
 }
 
-func mlRunnerSharded(db *ShardedDB) func(MLRun) error {
-	return func(r MLRun) error { _, err := db.RunML(r); return err }
-}
-
 // dump reads (id, value) for n rows through a snapshot reader.
 type rowReader interface {
 	Read(tbl *Table, row RowID) (Payload, bool)
@@ -148,7 +144,7 @@ func (tp topology) open(t *testing.T, dir string, n int) (durableDB, *Table, fun
 			return dump(t, tx, tbl, n)
 		}
 	}
-	db := OpenSharded(WithShards(tp.shards), WithShardScheme(ShardRoundRobin),
+	db := Open(WithShards(tp.shards), WithShardScheme(ShardRoundRobin),
 		WithWorkers(2), WithWAL(dir))
 	tbl := counterTable(t, db, true, n)
 	// Placement is rebuilt from this database's configuration, whatever
@@ -161,9 +157,9 @@ func (tp topology) open(t *testing.T, dir string, n int) (durableDB, *Table, fun
 	if len(seen) != tp.shards {
 		t.Fatalf("rows on %d shards, want %d", len(seen), tp.shards)
 	}
-	return db, tbl, mlRunnerSharded(db), func() [][2]float64 {
+	return db, tbl, mlRunner(db), func() [][2]float64 {
 		tx := db.Begin()
-		defer tx.Close()
+		defer tx.Abort()
 		return dump(t, tx, tbl, n)
 	}
 }
@@ -318,9 +314,9 @@ func TestInstallReplayIdempotent(t *testing.T) {
 	ts := db.Stable() + 1
 	tu := wal.TableUpdate{Table: tbl.Name(), Rows: []wal.RowUpdate{{Row: 0, Payload: p}}}
 	var arena storage.RecordArena
-	db.mgr.Prepare().CommitAt(ts, func(ts Timestamp) { installReplay(tbl, tu, ts, &arena) })
+	db.Manager().Prepare().CommitAt(ts, func(ts Timestamp) { installReplay(tbl, tu, ts, &arena) })
 	want := tbl.Chain(0).Len()
-	db.mgr.Prepare().CommitAt(ts, func(ts Timestamp) { installReplay(tbl, tu, ts, &arena) })
+	db.Manager().Prepare().CommitAt(ts, func(ts Timestamp) { installReplay(tbl, tu, ts, &arena) })
 	if got := tbl.Chain(0).Len(); got != want {
 		t.Fatalf("second replay grew the chain: %d -> %d", want, got)
 	}
@@ -425,12 +421,12 @@ func TestCheckpointCutPinsStable(t *testing.T) {
 }
 
 // TestRecoveryErrorPanicsWithPrefix feeds both facades a log whose load
-// record names a table no creation record made: Open and OpenSharded panic
+// record names a table no creation record made: one kernel and two panic
 // with the recovery prefix rather than serving a half-recovered database.
 func TestRecoveryErrorPanicsWithPrefix(t *testing.T) {
 	for name, open := range map[string]func(dir string){
 		"single":  func(dir string) { Open(WithWAL(dir)) },
-		"sharded": func(dir string) { OpenSharded(WithShards(2), WithWAL(dir)) },
+		"sharded": func(dir string) { Open(WithShards(2), WithWAL(dir)) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -491,10 +487,10 @@ func TestRecoveryCountsOnlyAppliedRecords(t *testing.T) {
 		}
 	}
 	db := Open(WithWAL(dir), WithDebugServer("127.0.0.1:0"))
-	check("single", db.agg.Snapshot().Counters.RecoveryReplays, db.mgr.Stable(), db.Table("T").NumRows())
+	check("single", db.aggs[0].Snapshot().Counters.RecoveryReplays, db.Manager().Stable(), db.Table("T").NumRows())
 	db.Close()
-	sdb := OpenSharded(WithShards(2), WithWAL(dir), WithDebugServer("127.0.0.1:0"))
-	check("sharded", sdb.agg.Shard(0).Snapshot().Counters.RecoveryReplays,
+	sdb := Open(WithShards(2), WithWAL(dir), WithDebugServer("127.0.0.1:0"))
+	check("sharded", sdb.aggs[0].Snapshot().Counters.RecoveryReplays,
 		sdb.cluster.Kernel(0).Mgr().Stable(), sdb.ShardedTable("T").NumRows())
 	sdb.Close()
 }
@@ -505,7 +501,7 @@ func TestCheckpointRequiresWAL(t *testing.T) {
 	if err := db.Checkpoint(); err == nil {
 		t.Fatal("Checkpoint without WithWAL succeeded")
 	}
-	sdb := OpenSharded(WithShards(2))
+	sdb := Open(WithShards(2))
 	defer sdb.Close()
 	if err := sdb.Checkpoint(); err == nil {
 		t.Fatal("sharded Checkpoint without WithWAL succeeded")
@@ -694,10 +690,10 @@ func reopenRowIDs(t *testing.T, dir, name string, rows int, absent ...RowID) {
 	wantRowIDs(t, "single", tx, db.Table(name), rows, absent...)
 	tx.Abort()
 	db.Close()
-	sdb := OpenSharded(WithShards(2), WithWorkers(1), WithWAL(dir))
+	sdb := Open(WithShards(2), WithWorkers(1), WithWAL(dir))
 	dtx := sdb.Begin()
 	wantRowIDs(t, "2shards", dtx, sdb.Table(name), rows, absent...)
-	dtx.Close()
+	dtx.Abort()
 	sdb.Close()
 }
 

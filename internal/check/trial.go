@@ -34,8 +34,8 @@ import (
 //   - Crash == nil, Shards > 1: one exec.StartUber with a part per shard
 //     of an internal/shard cluster, no facade, every shard with its own
 //     injector and recorder;
-//   - Crash != nil: a durable facade (Open, or a round-robin OpenSharded
-//     when Shards > 1) killed at Crash.Kill and recovered.
+//   - Crash != nil: a durable db4ml.Open database (round-robin over
+//     Shards kernels) killed at Crash.Kill and recovered.
 type Trial struct {
 	// Seed drives the fault injector; shard s of a coordinator trial is
 	// seeded Seed+s, so shards fault independently but reproducibly.
@@ -328,25 +328,15 @@ func probing(n int, probe func(p int)) (stop func()) {
 	}
 }
 
-// facade is what a trial drives of *db4ml.DB and *db4ml.ShardedDB.
-type facade interface {
-	SubmitML(ctx context.Context, run db4ml.MLRun) (*db4ml.JobHandle, error)
-	CreateTable(name string, cols ...db4ml.Column) (*db4ml.Table, error)
-	Table(name string) *db4ml.Table
-	BulkLoad(tbl *db4ml.Table, rows []db4ml.Payload) error
-	Checkpoint() error
-	Stable() db4ml.Timestamp
-	Close() error
-}
-
-// open opens the trial's facade, durable in a crash trial and then armed
-// with kill when it is non-nil.
-func (r *ring) open(kill *db4ml.CrashKiller) facade {
+// open opens the trial's database of Shards kernels, durable in a crash
+// trial and then armed with kill when it is non-nil.
+func (r *ring) open(kill *db4ml.CrashKiller) *db4ml.DB {
 	regions := 1
 	if r.Workers > 1 {
 		regions = 2
 	}
-	opts := []db4ml.Option{db4ml.WithWorkers(r.Workers), db4ml.WithRegions(regions), db4ml.WithChaos(r.inj)}
+	opts := []db4ml.Option{db4ml.WithShards(r.Shards), db4ml.WithShardScheme(db4ml.ShardRoundRobin),
+		db4ml.WithWorkers(r.Workers), db4ml.WithRegions(regions), db4ml.WithChaos(r.inj)}
 	if r.GC > 0 {
 		opts = append(opts, db4ml.WithVersionGC(r.GC))
 	}
@@ -356,14 +346,11 @@ func (r *ring) open(kill *db4ml.CrashKiller) facade {
 			opts = append(opts, db4ml.WithCrashPoints(kill))
 		}
 	}
-	if r.Shards > 1 {
-		return db4ml.OpenSharded(append(opts, db4ml.WithShards(r.Shards), db4ml.WithShardScheme(db4ml.ShardRoundRobin))...)
-	}
 	return db4ml.Open(opts...)
 }
 
 // load creates the ring table on f and bulk-loads its zero rows.
-func (r *ring) load(f facade) (*db4ml.Table, error) {
+func (r *ring) load(f *db4ml.DB) (*db4ml.Table, error) {
 	tbl, err := f.CreateTable(ringName, ringCols...)
 	if err != nil {
 		return nil, err
@@ -371,38 +358,23 @@ func (r *ring) load(f facade) (*db4ml.Table, error) {
 	return tbl, f.BulkLoad(tbl, ringRows(r.Subs))
 }
 
-// reader is a read transaction of either facade.
-type reader interface {
-	Read(tbl *db4ml.Table, row db4ml.RowID) (db4ml.Payload, bool)
-}
-
-// begin starts a read transaction on f and returns it with its begin
-// timestamp (shard 0's on a sharded facade) and its release.
-func begin(f facade) (reader, storage.Timestamp, func()) {
-	if db, ok := f.(*db4ml.ShardedDB); ok {
-		tx := db.Begin()
-		return tx, tx.BeginTS(0), tx.Close
-	}
-	tx := f.(*db4ml.DB).Begin()
-	return tx, tx.BeginTS(), tx.Abort
-}
-
-// probe reads every ring row of f in one read transaction and logs each
-// observation at the transaction's begin timestamp; the visibility checker
-// later splits the probes at the commit timestamp.
-func (r *ring) probe(f facade, tbl *db4ml.Table) {
-	tx, ts, end := begin(f)
-	defer end()
+// probe reads every ring row of f in one read transaction — on several
+// kernels, at one cut of all of them — and logs each observation at the
+// transaction's begin timestamp; the visibility checker later splits the
+// probes at the commit timestamp.
+func (r *ring) probe(f *db4ml.DB, tbl *db4ml.Table) {
+	tx := f.Begin()
+	defer tx.Abort()
 	for row := 0; row < r.Subs; row++ {
 		if p, ok := tx.Read(tbl, db4ml.RowID(row)); ok {
-			r.hist.Probe(r.label, ts, int64(row), p[0])
+			r.hist.Probe(r.label, tx.BeginTS(), int64(row), p[0])
 		}
 	}
 }
 
 // run submits the ring on f as one ML run (recorded by rec unless nil) and
 // probes it from a concurrent read transaction until it resolves.
-func (r *ring) run(f facade, tbl *db4ml.Table, rec db4ml.RunRecorder) error {
+func (r *ring) run(f *db4ml.DB, tbl *db4ml.Table, rec db4ml.RunRecorder) error {
 	subs := make([]db4ml.IterativeTransaction, r.Subs)
 	for i := range subs {
 		subs[i] = r.sub(tbl, i)
@@ -440,8 +412,8 @@ func (r *ring) single() (Result, error) {
 	if err := r.run(f, tbl, r.hist.Job(r.label)); err != nil {
 		return r.res, err
 	}
-	tx, _, end := begin(f)
-	defer end()
+	tx := f.Begin()
+	defer tx.Abort()
 	if err := r.oracle(func(row int) (storage.Payload, bool) { return tx.Read(tbl, table.RowID(row)) }); err != nil {
 		return r.res, err
 	}
@@ -463,7 +435,7 @@ func (r *ring) distributed() (Result, error) {
 	defer cluster.Close()
 	router := shard.NewRouter(partition.RoundRobin, r.Shards, uint64(r.Subs))
 	st := shard.NewTable(ringName, table.MustSchema(ringCols...), router)
-	if _, err := st.Load(cluster, ringRows(r.Subs)); err != nil {
+	if _, _, err := st.Load(cluster, ringRows(r.Subs)); err != nil {
 		return r.res, err
 	}
 
@@ -597,9 +569,10 @@ func (r *ring) crash() (Result, error) {
 }
 
 // victim runs the ring on the recovered kernel f into the armed kill-point
-// and discards f as the crash left it. The run has no recorder: a sharded
-// facade takes none, and the witness records the acknowledgement.
-func (r *ring) victim(f facade) error {
+// and discards f as the crash left it. The run has no recorder: a database
+// of several kernels takes none, and the witness records the
+// acknowledgement.
+func (r *ring) victim(f *db4ml.DB) error {
 	defer f.Close()
 	tbl := f.Table(ringName)
 	if tbl == nil {
@@ -622,7 +595,7 @@ func (r *ring) victim(f facade) error {
 }
 
 // checkpoint checkpoints f, noting a fired kill-point rather than failing.
-func (r *ring) checkpoint(f facade) error {
+func (r *ring) checkpoint(f *db4ml.DB) error {
 	err := f.Checkpoint()
 	if errors.Is(err, chaos.ErrCrashed) {
 		r.res.Killed = true

@@ -133,7 +133,7 @@ func TestCheckerCatchesSplitBrainCommit(t *testing.T) {
 	for i := range rows {
 		rows[i] = storage.Payload{0, 0}
 	}
-	if _, err := st.Load(cluster, rows); err != nil {
+	if _, _, err := st.Load(cluster, rows); err != nil {
 		t.Fatal(err)
 	}
 

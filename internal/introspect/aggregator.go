@@ -53,42 +53,14 @@ func (a *Aggregator) Complete(o *obs.Observer) {
 	a.mu.Unlock()
 }
 
-// ShardedAggregator folds a cluster's per-shard aggregators into one
-// process-wide /metrics view while retaining per-shard snapshots for
-// /debug/shards. Each shard's runs attach to that shard's aggregator;
-// cluster-level observers (durability, coordinator) conventionally live on
-// shard 0's.
-type ShardedAggregator struct {
-	shards []*Aggregator
-}
-
-// NewShardedAggregator returns an aggregator per shard, all empty.
-func NewShardedAggregator(n int) *ShardedAggregator {
-	s := &ShardedAggregator{shards: make([]*Aggregator, n)}
-	for i := range s.shards {
-		s.shards[i] = NewAggregator()
-	}
-	return s
-}
-
-// Shard returns shard i's aggregator, or nil on a nil ShardedAggregator —
-// so, like Aggregator, an optional one threads through unguarded.
-func (s *ShardedAggregator) Shard(i int) *Aggregator {
-	if s == nil {
-		return nil
-	}
-	return s.shards[i]
-}
-
-// Shards returns the shard count.
-func (s *ShardedAggregator) Shards() int { return len(s.shards) }
-
-// Snapshot merges every shard's snapshot into the cluster-wide view:
-// counters and latency histograms sum across shards, gauges sum their last
-// samples (cluster-wide queue depth is the sum of the shards' queues).
-func (s *ShardedAggregator) Snapshot() obs.Snapshot {
-	var out obs.Snapshot
-	for _, a := range s.shards {
+// Sum merges the snapshots of a database's aggregators — one per kernel —
+// into the one /metrics renders: counters and latency histograms add up,
+// and so do the gauges' last samples and the worker counts (cluster-wide
+// queue depth is the sum of the kernels' queues). The sum of one
+// aggregator is its own snapshot. aggs must not be empty.
+func Sum(aggs []*Aggregator) obs.Snapshot {
+	out := aggs[0].Snapshot()
+	for _, a := range aggs[1:] {
 		snap := a.Snapshot()
 		out.Counters.Add(snap.Counters)
 		out.Cumulative.Add(snap.Cumulative)
@@ -96,16 +68,6 @@ func (s *ShardedAggregator) Snapshot() obs.Snapshot {
 		out.LiveSubs.Last += snap.LiveSubs.Last
 		out.QueueDepth.Last += snap.QueueDepth.Last
 		out.Workers += snap.Workers
-	}
-	return out
-}
-
-// ShardSnapshots returns each shard's own aggregated snapshot (index =
-// shard id) — the per-shard breakdown behind the merged Snapshot.
-func (s *ShardedAggregator) ShardSnapshots() []obs.Snapshot {
-	out := make([]obs.Snapshot, len(s.shards))
-	for i, a := range s.shards {
-		out[i] = a.Snapshot()
 	}
 	return out
 }

@@ -91,17 +91,14 @@ type Config struct {
 	// Queries returns the recent-query table for /debug/query; nil renders
 	// an empty list.
 	Queries func() []QueryInfo
-	// Shards returns the per-shard table for /debug/shards; nil renders an
-	// empty list (single-kernel databases).
+	// Shards returns the per-kernel table for /debug/shards; nil renders an
+	// empty list.
 	Shards func() []ShardInfo
-	// Tracer is the ring-buffer tracer /debug/trace downloads; nil serves an
-	// empty trace.
-	Tracer *trace.Tracer
-	// Sources, when non-nil, lists the tracers /debug/trace merges into one
-	// cross-process Chrome trace — one named process per source (sharded
-	// databases: the coordinator plus every shard). nil falls back to
-	// Tracer as the single source; both paths share the same merge code.
-	Sources func() []trace.Source
+	// Sources lists the ring-buffer tracers /debug/trace merges into one
+	// Chrome trace, one named process per source (one kernel: the kernel;
+	// a cluster: the coordinator plus every shard); nil serves an empty
+	// trace.
+	Sources []trace.Source
 }
 
 // Server is a running debug HTTP server. Construct with Start; stop with
@@ -168,12 +165,9 @@ func (cfg Config) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		jobs = cfg.Jobs()
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	events := cfg.Tracer.Len()
-	if cfg.Sources != nil {
-		events = 0
-		for _, s := range cfg.Sources() {
-			events += s.Tracer.Len()
-		}
+	events := 0
+	for _, s := range cfg.Sources {
+		events += s.Tracer.Len()
 	}
 	writePrometheus(w, snap, jobs, events)
 }
@@ -220,11 +214,7 @@ func (cfg Config) handleJobs(w http.ResponseWriter, r *http.Request) {
 func (cfg Config) handleTrace(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", `attachment; filename="db4ml-trace.json"`)
-	if cfg.Sources != nil {
-		trace.WriteChromeTraceMulti(w, cfg.Sources()) //nolint:errcheck // best-effort write
-		return
-	}
-	cfg.Tracer.WriteChromeTrace(w) //nolint:errcheck // best-effort write
+	trace.WriteChromeTraceMulti(w, cfg.Sources) //nolint:errcheck // best-effort write
 }
 
 // NewJobInfo assembles one job-table row from the values the facade tracks.

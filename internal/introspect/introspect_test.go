@@ -57,7 +57,7 @@ func TestServerEndpoints(t *testing.T) {
 			NewJobInfo(2, "sgd", "done", 2, 0, 8, time.Now().Add(-2*time.Second), 0),
 		}
 	}
-	s, err := Start(Config{Addr: "127.0.0.1:0", Metrics: agg.Snapshot, Jobs: jobs, Tracer: tr})
+	s, err := Start(Config{Addr: "127.0.0.1:0", Metrics: agg.Snapshot, Jobs: jobs, Sources: []trace.Source{{Name: "kernel", Tracer: tr}}})
 	if err != nil {
 		t.Fatal(err)
 	}

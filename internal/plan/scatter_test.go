@@ -40,7 +40,7 @@ func shardedFact(t *testing.T, shards, n, groups int) (*shard.Cluster, *shard.Ta
 	}
 	router := shard.NewRouter(partition.RoundRobin, shards, uint64(n))
 	st := shard.NewTable("fact", factSchema, router)
-	if _, err := st.Load(cluster, factRows(n, groups)); err != nil {
+	if _, _, err := st.Load(cluster, factRows(n, groups)); err != nil {
 		cluster.Close()
 		t.Fatal(err)
 	}

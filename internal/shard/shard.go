@@ -10,6 +10,12 @@
 //     per-shard local tables plus a chain-sharing global view, so every
 //     shard can read any row through MVCC without copying state.
 //
+// A database is a Cluster of N >= 1 kernels, and N = 1 is the ordinary
+// single kernel: a 1-shard Table is its own view (View() == Local(0), no
+// placement arrays, identity Locate and LocalRows), and its load appends
+// straight to that one table. This package is the only place that decides
+// so; callers address every table through the same Table methods.
+//
 // Nothing here runs an uber-transaction: a job spanning shards is one
 // exec.StartUber with a part per shard, committed by exec.UberRun.Finish
 // in two phases at one timestamp drawn from the shared oracle, which is
@@ -20,9 +26,10 @@
 //
 // Isolation across shards is *bounded-staleness by construction*: each
 // shard pins and publishes its own snapshot watermark, so a reader on
-// shard A observes shard B's rows at B's watermark, not at a global one.
-// The invariant harness in internal/check (dsweep.go) re-proves the
-// contracts under this model rather than assuming them.
+// shard A observes shard B's rows at B's watermark, not at a global one —
+// unless it reads at one cut of every shard (txn.BeginCut). The invariant
+// harness in internal/check re-proves the contracts under this model
+// rather than assuming them.
 package shard
 
 import (
@@ -51,7 +58,8 @@ func (k *Kernel) Pool() *exec.Pool { return k.pool }
 // Cluster is a set of shard kernels sharing one timestamp oracle.
 type Cluster struct {
 	oracle  *storage.Oracle
-	kernels []*Kernel
+	kernels []Kernel
+	mgrs    []*txn.Manager
 }
 
 // NewCluster starts n shard kernels, each with its own worker pool built
@@ -62,7 +70,7 @@ func NewCluster(n int, cfg exec.Config) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: cluster needs at least 1 shard, got %d", n)
 	}
-	c := &Cluster{oracle: &storage.Oracle{}, kernels: make([]*Kernel, n)}
+	c := &Cluster{oracle: &storage.Oracle{}, kernels: make([]Kernel, n), mgrs: make([]*txn.Manager, n)}
 	for i := 0; i < n; i++ {
 		pool, err := exec.NewPool(cfg)
 		if err != nil {
@@ -71,7 +79,8 @@ func NewCluster(n int, cfg exec.Config) (*Cluster, error) {
 			}
 			return nil, err
 		}
-		c.kernels[i] = &Kernel{mgr: txn.NewManagerWithOracle(c.oracle), pool: pool}
+		c.mgrs[i] = txn.NewManagerWithOracle(c.oracle)
+		c.kernels[i] = Kernel{mgr: c.mgrs[i], pool: pool}
 	}
 	return c, nil
 }
@@ -80,7 +89,10 @@ func NewCluster(n int, cfg exec.Config) (*Cluster, error) {
 func (c *Cluster) Shards() int { return len(c.kernels) }
 
 // Kernel returns shard i.
-func (c *Cluster) Kernel(i int) *Kernel { return c.kernels[i] }
+func (c *Cluster) Kernel(i int) *Kernel { return &c.kernels[i] }
+
+// Managers lists every shard's transaction manager in shard-id order.
+func (c *Cluster) Managers() []*txn.Manager { return c.mgrs }
 
 // Close stops every shard's worker pool, draining in-flight jobs.
 func (c *Cluster) Close() {
@@ -98,10 +110,8 @@ func (c *Cluster) Close() {
 // Bulk loads use it so a sharded table's initial state exists at one
 // timestamp on every shard.
 func (c *Cluster) PublishAll(publish func(shard int, ts storage.Timestamp) error) (storage.Timestamp, error) {
-	preps := make([]*txn.Prepared, len(c.kernels))
-	for i, k := range c.kernels {
-		preps[i] = k.mgr.Prepare()
-	}
+	var buf [4]*txn.Prepared
+	preps := c.prepareAll(buf[:0])
 	ts := c.oracle.Next()
 	return ts, c.commitAll(preps, ts, publish)
 }
@@ -112,12 +122,20 @@ func (c *Cluster) PublishAll(publish func(shard int, ts storage.Timestamp) error
 // or above every shard's stable watermark (replay applies records in LSN
 // order, so it is).
 func (c *Cluster) PublishAllAt(ts storage.Timestamp, publish func(shard int, ts storage.Timestamp) error) error {
-	preps := make([]*txn.Prepared, len(c.kernels))
-	for i, k := range c.kernels {
-		preps[i] = k.mgr.Prepare()
-	}
+	var buf [4]*txn.Prepared
+	preps := c.prepareAll(buf[:0])
 	c.oracle.AdvanceTo(ts)
 	return c.commitAll(preps, ts, publish)
+}
+
+// prepareAll prepares every shard's manager in shard-id order, appending
+// to preps (a caller's stack buffer, so small clusters publish without a
+// heap allocation).
+func (c *Cluster) prepareAll(preps []*txn.Prepared) []*txn.Prepared {
+	for _, m := range c.mgrs {
+		preps = append(preps, m.Prepare())
+	}
+	return preps
 }
 
 // commitAll publishes every prepared shard at ts, in shard-id order.

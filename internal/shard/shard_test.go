@@ -37,7 +37,7 @@ func TestTableLoadPlacesRowsAndBuildsView(t *testing.T) {
 	c := newCluster(t, 2, 1)
 	st := NewTable("ring", testSchema(t), NewRouter(partition.Range, 2, 0))
 	rows := []storage.Payload{{10, 10}, {11, 11}, {12, 12}, {13, 13}}
-	ts, err := st.Load(c, rows)
+	ts, _, err := st.Load(c, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,5 +123,35 @@ func TestRouterRouteRepartitionRace(t *testing.T) {
 	wg.Wait()
 	if r.Shards() != 4 {
 		t.Fatalf("Shards() changed to %d", r.Shards())
+	}
+}
+
+// TestOneShardTableIsItsOwnView: on one shard the view is the local table
+// and keeps the table's name, Locate is the identity, a load appends
+// straight to it and reports its first row, and the table accepts Append
+// like any table.
+func TestOneShardTableIsItsOwnView(t *testing.T) {
+	c := newCluster(t, 1, 1)
+	st := NewTable("ring", testSchema(t), NewRouter(partition.Hash, 1, 0))
+	if st.View() != st.Local(0) || st.View().Name() != "ring" {
+		t.Fatalf("view %p (%s), local %p", st.View(), st.View().Name(), st.Local(0))
+	}
+	for _, want := range []int{0, 2} {
+		_, first, err := st.Load(c, []storage.Payload{{1, 1}, {2, 2}})
+		if err != nil || first != want {
+			t.Fatalf("Load first row = %d (%v), want %d", first, err, want)
+		}
+	}
+	if s, l, ok := st.Locate(3); s != 0 || l != 3 || !ok || st.NumRows() != 4 {
+		t.Fatalf("Locate(3) = (%d,%d,%v), %d rows", s, l, ok, st.NumRows())
+	}
+	if _, _, ok := st.Locate(4); ok {
+		t.Fatal("Locate past the end succeeded")
+	}
+	if _, err := st.View().Append(c.Kernel(0).Mgr().Stable(), storage.Payload{5, 5}); err != nil {
+		t.Fatalf("Append on a one-shard table: %v", err)
+	}
+	if err := st.LoadAt(c, c.Kernel(0).Mgr().Stable()+1, []storage.Payload{{6, 6}, nil}); err != nil || st.NumRows() != 7 {
+		t.Fatalf("LoadAt: %v, %d rows", err, st.NumRows())
 	}
 }

@@ -26,6 +26,10 @@ import (
 // Loads go through Load, which places rows with the router and publishes
 // every shard at one shared-oracle timestamp (Cluster.PublishAll), so the
 // table's state always exists at a single globally comparable timestamp.
+//
+// On a 1-shard router the table is its own view: View() == Local(0), named
+// after the table, with no placement arrays (row g is local row g), and a
+// load appends straight to it — so it accepts OLTP inserts like any table.
 type Table struct {
 	name   string
 	schema table.Schema
@@ -35,13 +39,14 @@ type Table struct {
 	view   *table.Table
 
 	mu      sync.RWMutex
-	shardOf []int         // global row -> owning shard
+	shardOf []int         // global row -> owning shard; nil on one shard
 	localOf []table.RowID // global row -> row id within the owner's local table
 }
 
 // NewTable creates an empty sharded table routed by router. The view and
-// the per-shard locals share one schema; locals are named "<name>@s<i>"
-// so per-shard telemetry and errors identify the shard.
+// the per-shard locals share one schema; on more than one shard the locals
+// are named "<name>@s<i>" so per-shard telemetry and errors identify the
+// shard.
 func NewTable(name string, schema table.Schema, router *Router) *Table {
 	t := &Table{
 		name:   name,
@@ -50,11 +55,19 @@ func NewTable(name string, schema table.Schema, router *Router) *Table {
 		locals: make([]*table.Table, router.Shards()),
 		view:   table.New(name, schema),
 	}
+	if t.one() {
+		t.locals[0] = t.view
+		return t
+	}
 	for i := range t.locals {
 		t.locals[i] = table.New(fmt.Sprintf("%s@s%d", name, i), schema)
 	}
 	return t
 }
+
+// one reports whether the table lives on one shard, where it is its own
+// view.
+func (t *Table) one() bool { return len(t.locals) == 1 }
 
 // Name returns the logical table name.
 func (t *Table) Name() string { return t.name }
@@ -64,8 +77,8 @@ func (t *Table) Schema() table.Schema { return t.schema }
 
 // View returns the global view table: row id g is global row g, backed by
 // the owning shard's version chain. Use it for reads, scans, query plans,
-// and for building sub-transactions that address rows globally. It refuses
-// Append — rows are created only through Load.
+// and for building sub-transactions that address rows globally. On more
+// than one shard it refuses Append — rows are created only through Load.
 func (t *Table) View() *table.Table { return t.view }
 
 // Local returns shard i's local table — the table that shard's
@@ -74,14 +87,35 @@ func (t *Table) Local(i int) *table.Table { return t.locals[i] }
 
 // NumRows returns the number of global rows.
 func (t *Table) NumRows() int {
+	if t.one() {
+		return t.view.NumRows()
+	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return len(t.shardOf)
 }
 
+// Mutations sums the view's mutation counter with the locals': commits
+// bump the owning locals' counters (an uber-transaction attaches locals)
+// while loads bump the view's, so the sum moves exactly when any of them
+// does. It is the checkpointer's change detector (table.Table.Mutations).
+func (t *Table) Mutations() uint64 {
+	if t.one() {
+		return t.view.Mutations()
+	}
+	muts := t.view.Mutations()
+	for _, l := range t.locals {
+		muts += l.Mutations()
+	}
+	return muts
+}
+
 // Locate maps a global row id to its owning shard and the row's id within
 // that shard's local table. ok is false for out-of-range rows.
 func (t *Table) Locate(row table.RowID) (shard int, local table.RowID, ok bool) {
+	if t.one() {
+		return 0, row, int(row) < t.view.NumRows()
+	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if int(row) >= len(t.shardOf) {
@@ -122,17 +156,37 @@ func (t *Table) LocalRows(rows []table.RowID) ([][]table.RowID, error) {
 // rows are routed to their owning shards (global row id = current row
 // count + position), appended to the local tables, published everywhere at
 // one shared-oracle timestamp, and adopted into the view in global order.
+// It returns the timestamp and the global id of the first loaded row, both
+// assigned under the load's lock, so concurrent loads report disjoint
+// ranges.
 //
 // Loading into an empty Range-sharded table first repartitions the router
 // to the final row count, so the ranges are contiguous over the whole
 // load. Appending to a non-empty Range-sharded table keeps the existing
 // placement — physically placed rows cannot move — and overflow rows clamp
 // into the last shard; prefer one Load per Range table.
-func (t *Table) Load(c *Cluster, rows []storage.Payload) (storage.Timestamp, error) {
+func (t *Table) Load(c *Cluster, rows []storage.Payload) (ts storage.Timestamp, first int, err error) {
 	for gi, p := range rows {
 		if p == nil {
-			return 0, fmt.Errorf("shard: table %s: nil row %d", t.name, gi)
+			return 0, 0, fmt.Errorf("shard: table %s: nil row %d", t.name, gi)
 		}
+	}
+	if err := t.fits(c); err != nil {
+		return 0, 0, err
+	}
+	if t.one() {
+		// The commit lock orders this load against every other append to
+		// the table (loads and OLTP inserts alike).
+		ts, err = c.PublishAll(func(_ int, ts storage.Timestamp) error {
+			first = t.view.NumRows()
+			for _, p := range rows {
+				if _, err := t.view.Append(ts, p); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		return ts, first, err
 	}
 	return t.load(c, rows, c.PublishAll)
 }
@@ -140,24 +194,38 @@ func (t *Table) Load(c *Cluster, rows []storage.Payload) (storage.Timestamp, err
 // LoadAt is Load at a caller-chosen timestamp (Cluster.PublishAllAt) — the
 // recovery path, which replays a logged bulk load at its original commit
 // timestamp so the recovered table is bit-identical to the pre-crash one.
-// A nil row is an absent slot (a row deleted before a checkpoint, or a gap
-// a lost load left): it gets a tombstone, so later rows keep their ids.
+// It takes ownership of the payloads. A nil row is an absent slot (a row
+// deleted before a checkpoint, or a gap a lost load left): it gets a
+// tombstone, so later rows keep their ids.
 func (t *Table) LoadAt(c *Cluster, ts storage.Timestamp, rows []storage.Payload) error {
-	_, err := t.load(c, rows, func(pub func(int, storage.Timestamp) error) (storage.Timestamp, error) {
+	if err := t.fits(c); err != nil {
+		return err
+	}
+	if t.one() {
+		return c.PublishAllAt(ts, func(_ int, ts storage.Timestamp) error {
+			_, err := t.view.AppendOwned(ts, rows)
+			return err
+		})
+	}
+	_, _, err := t.load(c, rows, func(pub func(int, storage.Timestamp) error) (storage.Timestamp, error) {
 		return ts, c.PublishAllAt(ts, pub)
 	})
 	return err
 }
 
-func (t *Table) load(c *Cluster, rows []storage.Payload,
-	publishAll func(func(int, storage.Timestamp) error) (storage.Timestamp, error)) (storage.Timestamp, error) {
+// fits rejects a cluster whose shard count is not the table's.
+func (t *Table) fits(c *Cluster) error {
 	if c.Shards() != t.router.Shards() {
-		return 0, fmt.Errorf("shard: table %s is sharded %d ways, cluster has %d shards",
+		return fmt.Errorf("shard: table %s is sharded %d ways, cluster has %d shards",
 			t.name, t.router.Shards(), c.Shards())
 	}
+	return nil
+}
+
+func (t *Table) load(c *Cluster, rows []storage.Payload,
+	publishAll func(func(int, storage.Timestamp) error) (storage.Timestamp, error)) (storage.Timestamp, int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-
 	base := len(t.shardOf)
 	if base == 0 && t.router.Partitioner().Scheme() == partition.Range {
 		t.router.Repartition(partition.Range, uint64(len(rows)))
@@ -191,7 +259,7 @@ func (t *Table) load(c *Cluster, rows []storage.Payload,
 		return nil
 	})
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	baseLocal := make([]int, c.Shards())
 	for s := range baseLocal {
@@ -207,13 +275,13 @@ func (t *Table) load(c *Cluster, rows []storage.Payload,
 		s := owners[gi]
 		chain := t.locals[s].Chain(locals[gi])
 		if chain == nil {
-			return 0, fmt.Errorf("shard: table %s: loaded row %d has no chain on shard %d", t.name, base+gi, s)
+			return 0, 0, fmt.Errorf("shard: table %s: loaded row %d has no chain on shard %d", t.name, base+gi, s)
 		}
 		if _, err := t.view.AdoptChain(chain); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		t.shardOf = append(t.shardOf, s)
 		t.localOf = append(t.localOf, locals[gi])
 	}
-	return ts, nil
+	return ts, base, nil
 }

@@ -25,6 +25,11 @@ var ErrConflict = errors.New("txn: write-write conflict")
 // ErrDone is returned when a committed or aborted transaction is used.
 var ErrDone = errors.New("txn: transaction already finished")
 
+// ErrCrossKernelWrite is returned by every write of a transaction begun
+// across several kernels (BeginCut): it reads one cross-kernel cut, but a
+// commit of its writes on every kernel is not supported.
+var ErrCrossKernelWrite = errors.New("txn: a transaction across kernels is read-only")
+
 // Manager hands out transactions against a shared timestamp oracle.
 //
 // Transactions begin at the manager's *stable* timestamp — the newest
@@ -233,6 +238,35 @@ func (m *Manager) Begin() *Txn {
 	return &Txn{m: m, beginTS: m.PinSnapshot(), writeIdx: make(map[writeKey]int)}
 }
 
+// Cut pins one timestamp at which every manager is fully published and
+// returns it; the caller unpins it on each manager. With every commit lock
+// held — taken in slice order, the order a coordinated commit prepares in,
+// so the two cannot deadlock — no publish is in flight anywhere, so the
+// shared oracle's current value is such a timestamp. On one manager it is
+// the stable watermark PinSnapshot would pin. The pins keep each manager's
+// GC above the cut.
+func Cut(mgrs []*Manager) storage.Timestamp {
+	preps := make([]*Prepared, len(mgrs))
+	for i, m := range mgrs {
+		preps[i] = m.Prepare()
+	}
+	ts := mgrs[0].Oracle().Current()
+	for _, m := range mgrs {
+		m.PinAt(ts)
+	}
+	for _, p := range preps {
+		p.Abort()
+	}
+	return ts
+}
+
+// BeginCut starts a read-only transaction over several managers sharing
+// one oracle: it reads at one Cut of all of them, pinned on each until
+// Commit or Abort. Its writes fail with ErrCrossKernelWrite.
+func BeginCut(mgrs []*Manager) *Txn {
+	return &Txn{m: mgrs[0], cut: mgrs, beginTS: Cut(mgrs)}
+}
+
 type txnState int
 
 const (
@@ -261,7 +295,10 @@ type insertOp struct {
 // at Begin; writes are buffered and installed atomically at Commit. A Txn
 // must be used from a single goroutine.
 type Txn struct {
-	m        *Manager
+	m *Manager
+	// cut lists every manager a BeginCut transaction is pinned on; nil on
+	// one manager.
+	cut      []*Manager
 	beginTS  storage.Timestamp
 	state    txnState
 	writes   []writeOp
@@ -292,8 +329,8 @@ func (tx *Txn) Read(tbl *table.Table, row table.RowID) (storage.Payload, bool) {
 // Write buffers a full-row update. The payload is cloned. The write becomes
 // visible to other transactions only after Commit succeeds.
 func (tx *Txn) Write(tbl *table.Table, row table.RowID, payload storage.Payload) error {
-	if tx.state != active {
-		return ErrDone
+	if err := tx.writable(); err != nil {
+		return err
 	}
 	if len(payload) != tbl.Schema().Width() {
 		return fmt.Errorf("txn: payload width %d, schema width %d", len(payload), tbl.Schema().Width())
@@ -314,8 +351,8 @@ func (tx *Txn) Write(tbl *table.Table, row table.RowID, payload storage.Payload)
 // earlier snapshots still see it (a tombstone version is installed, not a
 // physical removal). Deleting an absent row is an error.
 func (tx *Txn) Delete(tbl *table.Table, row table.RowID) error {
-	if tx.state != active {
-		return ErrDone
+	if err := tx.writable(); err != nil {
+		return err
 	}
 	if _, ok := tx.Read(tbl, row); !ok {
 		return fmt.Errorf("txn: delete of absent row %d", row)
@@ -349,8 +386,8 @@ func (tx *Txn) UpdateCol(tbl *table.Table, row table.RowID, col int, fn func(old
 // timestamp when the transaction commits. The new RowID is available from
 // InsertedRows after Commit.
 func (tx *Txn) Insert(tbl *table.Table, payload storage.Payload) error {
-	if tx.state != active {
-		return ErrDone
+	if err := tx.writable(); err != nil {
+		return err
 	}
 	if len(payload) != tbl.Schema().Width() {
 		return fmt.Errorf("txn: payload width %d, schema width %d", len(payload), tbl.Schema().Width())
@@ -363,11 +400,27 @@ func (tx *Txn) Insert(tbl *table.Table, payload storage.Payload) error {
 // in Insert order. Valid only after a successful Commit.
 func (tx *Txn) InsertedRows() []table.RowID { return tx.inserted }
 
+// writable reports why the transaction cannot buffer a write, if it cannot.
+func (tx *Txn) writable() error {
+	switch {
+	case tx.state != active:
+		return ErrDone
+	case tx.cut != nil:
+		return ErrCrossKernelWrite
+	}
+	return nil
+}
+
 // settle moves the transaction out of the active state exactly once,
-// releasing its snapshot pin so the GC watermark can advance past it.
+// releasing its snapshot pins so the GC watermark can advance past them.
 func (tx *Txn) settle(st txnState) {
 	if tx.state == active {
-		tx.m.UnpinSnapshot(tx.beginTS)
+		if tx.cut == nil {
+			tx.m.UnpinSnapshot(tx.beginTS)
+		}
+		for _, m := range tx.cut {
+			m.UnpinSnapshot(tx.beginTS)
+		}
 	}
 	tx.state = st
 }
@@ -389,6 +442,11 @@ func (tx *Txn) Abort() {
 func (tx *Txn) Commit() error {
 	if tx.state != active {
 		return ErrDone
+	}
+	if tx.cut != nil {
+		// Read-only: nothing to publish.
+		tx.settle(committed)
+		return nil
 	}
 	// Deterministic install order keeps conflict behaviour reproducible.
 	order := make([]int, len(tx.writes))

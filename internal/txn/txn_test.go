@@ -326,3 +326,42 @@ func TestOLTPBlockedByInFlightIterative(t *testing.T) {
 		t.Fatalf("commit against in-flight iterative version = %v, want conflict", err)
 	}
 }
+
+// TestBeginCutReadsOneCutReadOnly: a transaction over two managers sharing
+// an oracle reads at the oracle's value with both commit locks held — past
+// the stable watermark of the manager that published earlier — is pinned
+// on both until it settles, and refuses every write.
+func TestBeginCutReadsOneCutReadOnly(t *testing.T) {
+	o := &storage.Oracle{}
+	a, b := NewManagerWithOracle(o), NewManagerWithOracle(o)
+	tbl := accountsTable(t, a, 2, 10)
+	b.PublishAt(func(storage.Timestamp) {})
+	if a.Stable() >= b.Stable() {
+		t.Fatalf("stable a=%d b=%d, want a behind", a.Stable(), b.Stable())
+	}
+	tx := BeginCut([]*Manager{a, b})
+	if tx.BeginTS() != o.Current() || tx.BeginTS() != b.Stable() {
+		t.Fatalf("cut at %d, oracle %d", tx.BeginTS(), o.Current())
+	}
+	if a.ActiveSnapshots() != 1 || b.ActiveSnapshots() != 1 || a.SafeWatermark() != a.Stable() {
+		t.Fatalf("pins a=%d b=%d, safe watermark %d", a.ActiveSnapshots(), b.ActiveSnapshots(), a.SafeWatermark())
+	}
+	if p, ok := tx.Read(tbl, 1); !ok || p.Float64(1) != 10 {
+		t.Fatalf("read at the cut = (%v, %v)", p, ok)
+	}
+	for name, err := range map[string]error{
+		"Write":     tx.Write(tbl, 0, storage.Payload{0, 0}),
+		"Delete":    tx.Delete(tbl, 0),
+		"Insert":    tx.Insert(tbl, storage.Payload{0, 0}),
+		"UpdateCol": tx.UpdateCol(tbl, 0, 1, func(v uint64) uint64 { return v }),
+	} {
+		if !errors.Is(err, ErrCrossKernelWrite) {
+			t.Fatalf("%s = %v, want ErrCrossKernelWrite", name, err)
+		}
+	}
+	stable := a.Stable()
+	tx.Abort()
+	if a.ActiveSnapshots() != 0 || b.ActiveSnapshots() != 0 || a.Stable() != stable {
+		t.Fatalf("after Abort: pins a=%d b=%d, stable a %d -> %d", a.ActiveSnapshots(), b.ActiveSnapshots(), stable, a.Stable())
+	}
+}

@@ -67,7 +67,7 @@ func metricValue(body, name string) float64 {
 
 // runShardedWorkload drives one distributed ML job (every shard owns rows,
 // so the uber-commit prepares on all of them) and one scattered query.
-func runShardedWorkload(t *testing.T, db *ShardedDB, tbl *Table, n int) {
+func runShardedWorkload(t *testing.T, db *DB, tbl *Table, n int) {
 	t.Helper()
 	subs := make([]IterativeTransaction, n)
 	for i := range subs {
@@ -271,7 +271,7 @@ func TestShardedTraceAllShards(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := trace.WriteChromeTraceMulti(&buf, db.traceSources()); err != nil {
+	if err := trace.WriteChromeTraceMulti(&buf, db.sources); err != nil {
 		t.Fatal(err)
 	}
 	doc := parseChromeTrace(t, buf.Bytes())
@@ -320,7 +320,7 @@ func TestMergedTraceCausalOrder(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := trace.WriteChromeTraceMulti(&buf, db.traceSources()); err != nil {
+	if err := trace.WriteChromeTraceMulti(&buf, db.sources); err != nil {
 		t.Fatal(err)
 	}
 	doc := parseChromeTrace(t, buf.Bytes())

@@ -2,6 +2,7 @@ package db4ml
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"db4ml/internal/obs"
@@ -147,18 +148,19 @@ func (h *QueryHandle) Explain() *ExplainNode {
 	return h.explain
 }
 
-// queryEnv assembles a plan.Env from the database's engine state plus the
-// per-run overrides, mirroring how SubmitML resolves its JobConfig.
-func (db *DB) queryEnv(run QueryRun) plan.Env {
+// queryEnv assembles kernel s's plan.Env from the database's engine
+// state plus the per-run overrides, mirroring how SubmitML resolves its
+// JobConfig; id tags the query's spans.
+func (db *DB) queryEnv(run QueryRun, s int, id uint64) plan.Env {
 	env := plan.Env{
-		Mgr:    db.mgr,
-		Pool:   db.pool,
+		Mgr:    db.cluster.Kernel(s).Mgr(),
+		Pool:   db.cluster.Kernel(s).Pool(),
 		Obs:    run.Observer,
 		Tracer: run.Tracer,
-		Job:    db.queryID.Add(1),
+		Job:    id,
 	}
 	if env.Tracer == nil {
-		env.Tracer = db.tracer
+		env.Tracer = db.tracers[s]
 	}
 	return env
 }
@@ -173,9 +175,13 @@ func (db *DB) queryEnv(run QueryRun) plan.Env {
 //
 // PrepareQuery is the unsupervised path: no admission gate, deadline, or
 // retry — the caller owns the cursor's lifetime. Use SubmitQuery/RunQuery
-// for supervised, materialized execution.
+// for supervised, materialized execution. A cluster's queries scatter and
+// gather, with no single cursor: there it returns an error.
 func (db *DB) PrepareQuery(p *Plan) (*PreparedQuery, error) {
-	return plan.Prepare(p, db.queryEnv(QueryRun{}))
+	if db.cluster.Shards() > 1 {
+		return nil, fmt.Errorf("db4ml: PrepareQuery on %d kernels: use SubmitQuery or RunQuery", db.cluster.Shards())
+	}
+	return plan.Prepare(p, db.queryEnv(QueryRun{}, 0, db.queryID.Add(1)))
 }
 
 // ExplainQuery validates and rewrites p exactly as execution would —
@@ -184,7 +190,7 @@ func (db *DB) PrepareQuery(p *Plan) (*PreparedQuery, error) {
 // with ExplainNode.Render; run the query through SubmitQuery and read
 // QueryHandle.Explain for the measured EXPLAIN ANALYZE form.
 func (db *DB) ExplainQuery(p *Plan) (*ExplainNode, error) {
-	return plan.Explain(p, db.queryEnv(QueryRun{}))
+	return plan.Explain(p, db.queryEnv(QueryRun{}, 0, db.queryID.Add(1)))
 }
 
 // SubmitQuery starts one supervised query execution and returns without
@@ -192,32 +198,63 @@ func (db *DB) ExplainQuery(p *Plan) (*ExplainNode, error) {
 // through the same WithMaxInflight gate, the database's default deadline,
 // and the abort-retry policy (safe — a failed execution published
 // nothing). The result is fully materialized into the handle.
+//
+// On a cluster the scan/filter/project pipeline scatters, each shard's
+// fragment at its own snapshot over the rows it owns, and the rest
+// gathers. Joins, iterate nodes, and RowRange predicates cannot scatter and
+// fail before admission; Stats is nil and Explain the planner's tree.
 func (db *DB) SubmitQuery(ctx context.Context, run QueryRun) (*QueryHandle, error) {
+	n := db.cluster.Shards()
+	if n > 1 {
+		if err := plan.CheckScatter(run.Plan); err != nil {
+			return nil, err
+		}
+	}
 	if err := db.admit(ctx, run.Observer); err != nil {
 		return nil, err
 	}
-	env := db.queryEnv(run)
-	if db.agg != nil && env.Obs == nil {
+	env := db.queryEnv(run, 0, db.queryID.Add(1))
+	if db.aggs[0] != nil && env.Obs == nil {
+		// One observer serves every kernel's fragment; it lives on kernel
+		// 0's aggregator.
 		env.Obs = obs.New()
 	}
-	prep, err := plan.Prepare(run.Plan, env)
-	if err != nil {
-		db.release()
-		return nil, err
-	}
-	db.agg.Attach(env.Obs)
 	h := &QueryHandle{}
-	h.init(ctx)
-	db.superviseQuery(h, run, env, db.agg, func(ctx context.Context) error {
-		rel, stats, iters, expl, err := runOnce(ctx, prep)
-		if expl == nil {
-			// The execution died before producing a cursor; fall back to the
-			// planner's tree so Explain (and /debug/query) still show the plan.
-			expl = prep.Explain()
+	var execute func(ctx context.Context) error
+	if n == 1 {
+		prep, err := plan.Prepare(run.Plan, env)
+		if err != nil {
+			db.release()
+			return nil, err
 		}
-		h.result, h.stats, h.iters, h.explain = rel, stats, iters, expl
-		return err
-	})
+		execute = func(ctx context.Context) error {
+			rel, stats, iters, expl, err := runOnce(ctx, prep)
+			if expl == nil {
+				// The execution died before producing a cursor; fall back to
+				// the planner's tree so Explain (and /debug/query) still show
+				// the plan.
+				expl = prep.Explain()
+			}
+			h.result, h.stats, h.iters, h.explain = rel, stats, iters, expl
+			return err
+		}
+	} else {
+		envs := make([]plan.Env, n)
+		for s := range envs {
+			envs[s] = db.queryEnv(run, s, env.Job)
+			envs[s].Obs = env.Obs
+		}
+		// Scattered execution has no single root cursor, so the handle
+		// carries the planner's EXPLAIN tree instead of a measured ANALYZE one.
+		h.explain, _ = plan.Explain(run.Plan, env)
+		execute = func(ctx context.Context) (err error) {
+			h.result, err = plan.ScatterGather(ctx, run.Plan, envs, db.rebindScan)
+			return err
+		}
+	}
+	db.aggs[0].Attach(env.Obs)
+	h.init(ctx)
+	db.superviseQuery(h, run, env, db.aggs[0], execute)
 	return h, nil
 }
 

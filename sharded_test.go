@@ -19,9 +19,9 @@ import (
 )
 
 // openShardedCounters mirrors openWithCounters on a sharded database.
-func openShardedCounters(t *testing.T, shards, n int, opts ...Option) (*ShardedDB, *Table) {
+func openShardedCounters(t *testing.T, shards, n int, opts ...Option) (*DB, *Table) {
 	t.Helper()
-	db := OpenSharded(append([]Option{WithShards(shards), WithShardScheme(ShardRoundRobin)}, opts...)...)
+	db := Open(append([]Option{WithShards(shards), WithShardScheme(ShardRoundRobin)}, opts...)...)
 	tbl, err := db.CreateTable("Counter",
 		Column{Name: "ID", Type: Int64},
 		Column{Name: "Value", Type: Float64},
@@ -112,7 +112,7 @@ func TestShardedQuickstart(t *testing.T) {
 		t.Fatalf("Stable %d < commit ts %d", db.Stable(), ts)
 	}
 	tx := db.Begin()
-	defer tx.Close()
+	defer tx.Abort()
 	for i := 0; i < n; i++ {
 		p, ok := tx.Read(tbl, RowID(i))
 		if !ok || p.Float64(1) != target {
@@ -234,7 +234,7 @@ func TestShardedSubmitMLRejectsRecorder(t *testing.T) {
 // pagerank.LoadTables loads single-kernel ones (same row order, same
 // initial ranks, same indexes — so BuildSubs sees an identical world
 // through the global views).
-func loadShardedGraph(t *testing.T, db *ShardedDB, g *graph.Graph) (node, edge *Table) {
+func loadShardedGraph(t *testing.T, db *DB, g *graph.Graph) (node, edge *Table) {
 	t.Helper()
 	var err error
 	node, err = db.CreateTable("Node",
@@ -312,7 +312,7 @@ func TestShardedPageRankMatchesSingleKernel(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2, 4} {
-		db := OpenSharded(WithShards(shards), WithShardScheme(ShardRoundRobin), WithWorkers(2))
+		db := Open(WithShards(shards), WithShardScheme(ShardRoundRobin), WithWorkers(2))
 		node, edge := loadShardedGraph(t, db, g)
 		ncfg := cfg.Normalized()
 		subs, _, err := pagerank.BuildSubs(node, edge, db.Stable(), ncfg)
@@ -412,7 +412,7 @@ func TestPageRankSeesEdgeMutations(t *testing.T) {
 	}
 	check("one kernel", res.Ranks, wantFor(edge, res.CommitTS))
 
-	db := OpenSharded(WithShards(2), WithShardScheme(ShardRoundRobin), WithWorkers(2))
+	db := Open(WithShards(2), WithShardScheme(ShardRoundRobin), WithWorkers(2))
 	defer db.Close()
 	node, edge = loadShardedGraph(t, db, g)
 	run := func() []float64 {
@@ -473,7 +473,7 @@ func TestShardedPageRankBoundedStaleness(t *testing.T) {
 	g := graph.BarabasiAlbert(400, 6, 41)
 	want, _ := graph.PageRankRef(g, 0.85, 1e-10, 300)
 
-	db := OpenSharded(WithShards(2), WithShardScheme(ShardRoundRobin), WithWorkers(2))
+	db := Open(WithShards(2), WithShardScheme(ShardRoundRobin), WithWorkers(2))
 	defer db.Close()
 	node, edge := loadShardedGraph(t, db, g)
 	ncfg := pagerank.Config{
@@ -521,7 +521,7 @@ func TestShardedPageRankBoundedStaleness(t *testing.T) {
 // loadShardedSGD assembles an sgd.Tables over sharded parameter and sample
 // tables, shuffled exactly like sgd.LoadTables so the sub bodies see an
 // identical world.
-func loadShardedSGD(t *testing.T, db *ShardedDB, train []svm.Sample, features int, seed int64) *sgd.Tables {
+func loadShardedSGD(t *testing.T, db *DB, train []svm.Sample, features int, seed int64) *sgd.Tables {
 	t.Helper()
 	shuffled := append([]svm.Sample(nil), train...)
 	svm.Shuffle(shuffled, seed)
@@ -596,7 +596,7 @@ func TestShardedSGDMatchesSingleKernel(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2, 4} {
-		db := OpenSharded(WithShards(shards), WithShardScheme(ShardRoundRobin), WithWorkers(2))
+		db := Open(WithShards(shards), WithShardScheme(ShardRoundRobin), WithWorkers(2))
 		tables := loadShardedSGD(t, db, train, features, 1)
 		subs, err := sgd.BuildSubs(tables, db.Stable(), 1, cfg)
 		if err != nil {
@@ -638,7 +638,7 @@ func TestShardedSGDLearnsHogwild(t *testing.T) {
 	train, test := svm.Generate(svm.GenSpec{
 		Train: 3000, Test: 600, Features: features, Density: 1, Noise: 0.05, Seed: 29,
 	})
-	db := OpenSharded(WithShards(2), WithShardScheme(ShardRoundRobin), WithWorkers(2))
+	db := Open(WithShards(2), WithShardScheme(ShardRoundRobin), WithWorkers(2))
 	defer db.Close()
 	tables := loadShardedSGD(t, db, train, features, 1)
 	subs, err := sgd.BuildSubs(tables, db.Stable(), 4, sgd.Config{Epochs: 12, Lambda: 1e-5, Seed: 1})
@@ -750,7 +750,7 @@ func TestShardedGCReclaimsPerShard(t *testing.T) {
 	}
 	// The committed state survives pruning.
 	tx := db.Begin()
-	defer tx.Close()
+	defer tx.Abort()
 	for i := 0; i < n; i++ {
 		if p, ok := tx.Read(tbl, RowID(i)); !ok || p.Float64(1) != 6 {
 			t.Fatalf("row %d = (%v, %v) after GC", i, p, ok)
@@ -794,10 +794,10 @@ func TestShardedCloseRejectsAndDrains(t *testing.T) {
 
 // readShardedCounters reads every counter row through one cross-shard
 // snapshot.
-func readShardedCounters(t *testing.T, db *ShardedDB, tbl *Table, n int) []float64 {
+func readShardedCounters(t *testing.T, db *DB, tbl *Table, n int) []float64 {
 	t.Helper()
 	tx := db.Begin()
-	defer tx.Close()
+	defer tx.Abort()
 	out := make([]float64, n)
 	for i := range out {
 		p, ok := tx.Read(tbl, RowID(i))
@@ -856,7 +856,7 @@ func TestShardedRetryAfterPanic(t *testing.T) {
 
 // loopShardedRun submits a never-converging distributed run over tbl's n
 // rows and waits until it has committed an iteration.
-func loopShardedRun(t *testing.T, ctx context.Context, db *ShardedDB, tbl *Table, n int) *JobHandle {
+func loopShardedRun(t *testing.T, ctx context.Context, db *DB, tbl *Table, n int) *JobHandle {
 	t.Helper()
 	subs := make([]IterativeTransaction, n)
 	for i := range subs {

@@ -15,12 +15,11 @@ import (
 	"db4ml/internal/trace"
 )
 
-// This file is the supervision core both facades share. DB and ShardedDB
-// each embed one supervisor: it admits every SubmitML and SubmitQuery,
-// resolves a run's supervision settings, keeps the /debug job and query
-// table, and runs the one retry loop that drives every handle kind to
-// resolution. A handle kind supplies only its attempt — how to wait for one
-// execution and how to start the next. See DESIGN.md §11.
+// This file is the supervision core a DB embeds: it admits every SubmitML
+// and SubmitQuery, resolves a run's supervision settings, keeps the /debug
+// job and query table, and runs the one retry loop that drives every
+// handle kind to resolution. A handle kind supplies only its attempt — how
+// to wait for one execution and how to start the next. See DESIGN.md §11.
 
 // supervisor is the supervision state of one database: the defaults every
 // run inherits, the admission gate, Close's drain of in-flight handles, and
@@ -234,8 +233,7 @@ type attempt struct {
 // until one succeeds, one fails terminally, the policy declines a retry, or
 // the handle's context is cancelled — an attempt that fails after
 // cancellation reports the cancellation. Between attempts it backs off per
-// the policy. It is the only retry loop: every handle kind of both facades
-// runs under it.
+// the policy. It is the only retry loop: every handle kind runs under it.
 func (s *supervisor) supervise(h *handleCore, a attempt) {
 	defer func() {
 		h.cancel(nil) // detaches ctx from the submitter's
